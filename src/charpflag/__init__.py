@@ -14,6 +14,7 @@ from .errors import (
     DatumMismatchError,
     DimensionMismatchError,
     InternalInconsistencyError,
+    InvalidRootDatumError,
     LatticeMembershipError,
     NonSimpleRootError,
     NotPrimeError,
@@ -85,6 +86,7 @@ __all__ = [
     "DatumMismatchError",
     "DimensionMismatchError",
     "InternalInconsistencyError",
+    "InvalidRootDatumError",
     "LatticeMembershipError",
     "NonSimpleRootError",
     "NotPrimeError",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrimeError, RankRangeError
-from .cohomology import is_prime
+from .arith import is_prime
 from .lattice import RootDatum, Weight, make_datum
 
 
@@ -60,16 +60,8 @@ def tautological_weights(d: int, n: int) -> EquivariantBundleWeights:
     )
 
 
-def frobenius_twist(
-    bundle: EquivariantBundleWeights, p: int, allow_unit_twist: bool = False
-) -> EquivariantBundleWeights:
-    """Frobenius pullback: every weight multiplied by p, rank unchanged.
-
-    ``p = 1`` (the identity twist) is admitted only for testing via
-    ``allow_unit_twist``.
-    """
-    if p == 1 and allow_unit_twist:
-        return EquivariantBundleWeights(bundle.datum, bundle.weights, bundle.label)
+def frobenius_twist(bundle: EquivariantBundleWeights, p: int) -> EquivariantBundleWeights:
+    """Frobenius pullback: every weight multiplied by p, rank unchanged."""
     if not is_prime(p):
         raise NotPrimeError(f"Frobenius twist needs a prime p, got {p}")
     return EquivariantBundleWeights(

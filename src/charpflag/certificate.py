@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .arith import is_prime
 from .errors import NotPrimeError, RankRangeError, WeightShapeError
 from .bundles import end_weights, frobenius_twist, pullback_filtration, tautological_weights
 from .cohomology import (
@@ -25,7 +26,6 @@ from .cohomology import (
     H1Status,
     aggregate_h1_statuses,
     andersen_h1,
-    is_prime,
 )
 from .lattice import Root, Weight, dot_reflect, is_dominant, make_datum, pairing
 from .rootmorph import RigidityVerdict, RingChar, frobenius_rigidity_verdict

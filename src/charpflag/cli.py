@@ -27,6 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
+from .arith import prime_power_base
 from .errors import CharpFlagError
 from .certificate import VERDICT_NO_LIFT, check_equivariant_smoothness
 from .cohomology import andersen_h1, bwb_char0
@@ -98,29 +99,16 @@ def _parse_ring_spec(spec: str, p: Optional[int]) -> RingChar:
         return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
     if s.isdigit():
         value = int(s)
-        base, k = _decompose_prime_power(value)
+        if value < 2:
+            raise UsageError(f"ring characteristic {value} must be 0 or a prime power")
+        split = prime_power_base(value)
+        if split is None:
+            raise UsageError(f"ring characteristic {value} is not a prime power")
+        base, k = split
         if p is not None and p != base:
             raise UsageError(f"--ring {spec} conflicts with --p {p}")
         return RingChar.prime(base) if k == 1 else RingChar.prime_power(base, k)
     raise UsageError(f"unrecognized ring characteristic {spec!r}; use 0, p, or p^N")
-
-
-def _decompose_prime_power(value: int) -> tuple[int, int]:
-    if value < 2:
-        raise UsageError(f"ring characteristic {value} must be 0 or a prime power")
-    f = 2
-    while f * f <= value:
-        if value % f == 0:
-            k = 0
-            v = value
-            while v % f == 0:
-                v //= f
-                k += 1
-            if v != 1:
-                raise UsageError(f"ring characteristic {value} is not a prime power")
-            return f, k
-        f += 1
-    return value, 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +212,14 @@ def _load_datum_spec(spec: dict, role: str) -> RootDatum:
             (tuple(entry["vector"]), tuple(entry["coroot"]))
             for entry in spec["positive_roots"]
         ]
-        simple = [tuple(spec["positive_roots"][i]["vector"]) for i in spec["simple_indices"]]
+        simple = []
+        for i in spec["simple_indices"]:
+            if type(i) is not int or not 0 <= i < len(positive):
+                raise UsageError(
+                    f"{role} simple_indices entry {i!r} is not a positive-root index "
+                    f"in 0..{len(positive) - 1}"
+                )
+            simple.append(positive[i][0])
         weyl = spec.get("weyl_vector")
         return custom_datum(
             rank=int(spec["rank"]),
@@ -236,6 +231,25 @@ def _load_datum_spec(spec: dict, role: str) -> RootDatum:
         )
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed {role} datum description: {exc}") from None
+
+
+def _d_map_indices(d_spec, n_source: int, n_target: int) -> list[int]:
+    """Validate a d_map list: a bijection from source onto target roots."""
+    if not isinstance(d_spec, list) or len(d_spec) != n_source:
+        raise UsageError(
+            f"d_map must be 'identity' or a list of {n_source} target-root indices, "
+            "one per source root"
+        )
+    if n_source != n_target:
+        raise UsageError(
+            f"d_map cannot be a bijection: {n_source} source roots, {n_target} target roots"
+        )
+    for j in d_spec:
+        if type(j) is not int or not 0 <= j < n_target:
+            raise UsageError(f"d_map entry {j!r} is not a target-root index in 0..{n_target - 1}")
+    if len(set(d_spec)) != n_target:
+        raise UsageError("d_map is not a bijection: some target root is hit twice")
+    return d_spec
 
 
 def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
@@ -259,12 +273,18 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
                 )
             d_map = {a: b for a, b in zip(source.roots, target.roots)}
         else:
-            d_map = {source.roots[i]: target.roots[j] for i, j in enumerate(d_spec)}
+            indices = _d_map_indices(d_spec, len(source.roots), len(target.roots))
+            d_map = {a: target.roots[j] for a, j in zip(source.roots, indices)}
         q_spec = spec.get("q", 1)
         if isinstance(q_spec, int):
             q = {a: q_spec for a in source.roots}
         else:
-            q = {source.roots[i]: int(v) for i, v in enumerate(q_spec)}
+            if not isinstance(q_spec, list) or len(q_spec) != len(source.roots):
+                raise UsageError(
+                    f"q must be an integer or a list of {len(source.roots)} multipliers, "
+                    "one per source root"
+                )
+            q = {a: int(v) for a, v in zip(source.roots, q_spec)}
         ring = spec.get("ring_char", {"kind": "zero"})
         ring_char = {
             "zero": RingChar.zero,

@@ -22,22 +22,8 @@ from .errors import (
     NotPrimeError,
     UnsupportedDatumError,
 )
+from .arith import is_prime
 from .lattice import Root, RootDatum, Weight, dot_reflect, is_dominant, pairing
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _require_prime(p: int) -> None:

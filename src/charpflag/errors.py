@@ -17,6 +17,10 @@ class LatticeMembershipError(CharpFlagError, ValueError):
     """Coordinate vector is not a point of the datum's character lattice."""
 
 
+class InvalidRootDatumError(CharpFlagError, ValueError):
+    """Custom root-datum data violate the root-datum axioms."""
+
+
 class NonSimpleRootError(CharpFlagError, ValueError):
     """Operation requires a simple root."""
 

@@ -25,8 +25,10 @@ by a central (Weyl-invariant) shift, so it induces the same shifted
 ("dot") action ``s_alpha . lam = s_alpha(lam) - alpha`` on simple
 reflections.
 
-All types in this module are immutable values and all operations are
-pure, so everything here is safe to call concurrently.
+All types in this module are immutable values (a ``Root`` fills its
+dense views once, on first access, with equal values whichever thread
+gets there first) and all operations are pure, so everything here is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
+    CharpFlagError,
     DatumMismatchError,
+    InternalInconsistencyError,
+    InvalidRootDatumError,
     LatticeMembershipError,
     NonSimpleRootError,
     RankRangeError,
@@ -73,8 +78,10 @@ def normalize_family(family: str) -> str:
 class RootDatum:
     """A root datum: lattice rank, roots with coroots, simple roots, Weyl vector.
 
-    Instances compare by identity; ``make_datum`` caches construction so
-    repeated calls with the same arguments return the same handle.
+    Roots are stored sparsely (see ``Root``), so building a classical datum
+    of rank n costs O(n^2) time and memory.  Instances compare by identity;
+    ``make_datum`` caches construction so repeated calls with the same
+    arguments return the same handle.
     """
 
     __slots__ = (
@@ -86,6 +93,7 @@ class RootDatum:
         "weyl_vector",
         "pairing_denominator",
         "name",
+        "_simple_set",
     )
 
     family: str
@@ -101,8 +109,8 @@ class RootDatum:
         self,
         family: str,
         rank: int,
-        positive_pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-        simple_coords: Iterable[tuple[int, ...]],
+        positive_supports: Iterable[tuple[Support, Support]],
+        simple_supports: Iterable[Support],
         weyl_vector_coords: Optional[tuple[int, ...]],
         pairing_denominator: int = 1,
         name: Optional[str] = None,
@@ -111,20 +119,32 @@ class RootDatum:
         self.rank = rank
         self.pairing_denominator = pairing_denominator
         self.name = name if name is not None else family
+        if pairing_denominator < 1:
+            raise self._invalid(f"pairing denominator must be >= 1, got {pairing_denominator}")
         positives = []
         negatives = []
-        for vec, cov in positive_pairs:
-            positives.append(Root(Weight(tuple(vec), self), tuple(cov)))
-            negatives.append(Root(Weight(tuple(-x for x in vec), self), tuple(-x for x in cov)))
+        for sup, co in positive_supports:
+            positives.append(Root(self, sup, co))
+            neg = _negated(sup)
+            negatives.append(Root(self, neg, neg if co is sup else _negated(co)))
         self.positive_roots = tuple(positives)
-        self.roots = tuple(positives) + tuple(negatives)
-        by_coords = {r.vector.coords: r for r in self.positive_roots}
-        self.simple_roots = tuple(by_coords[self._canonical(tuple(c))] for c in simple_coords)
+        self.roots = self.positive_roots + tuple(negatives)
+        index = {r.support: k for k, r in enumerate(self.roots)}
+        simples = []
+        for sup in simple_supports:
+            k = index.get(sup)
+            if k is None or k >= len(positives):
+                raise self._invalid(
+                    f"simple root {_dense(sup, rank)} is not a positive root of {self.name}"
+                )
+            simples.append(self.roots[k])
+        self.simple_roots = tuple(simples)
+        self._simple_set = frozenset(simples)
         if weyl_vector_coords is None:
             self.weyl_vector = None
         else:
             self.weyl_vector = Weight(tuple(weyl_vector_coords), self)
-        self._sanity_check()
+        self._sanity_check(index)
 
     # -- lattice membership ------------------------------------------------
 
@@ -164,19 +184,48 @@ class RootDatum:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _sanity_check(self) -> None:
-        root_coords = {r.vector.coords for r in self.roots}
-        assert len(root_coords) == len(self.roots), "duplicate roots"
+    def _invalid(self, message: str) -> CharpFlagError:
+        """The error for data violating the root-datum axioms.
+
+        Custom data come from the caller, so a violation is an input error;
+        the classical families are built here, so it is a bug.
+        """
+        if self.family == "custom":
+            return InvalidRootDatumError(f"{self.name}: {message}")
+        return InternalInconsistencyError(f"{self.name}: {message}")
+
+    def _sanity_check(self, index: dict) -> None:
+        """Check the root-datum axioms on the supports, in O(#roots)."""
+        if len(index) != len(self.roots):
+            raise self._invalid("duplicate roots")
+        two = 2 * self.pairing_denominator
         for r in self.roots:
-            assert pairing(r.vector, r) == 2, f"<alpha, alpha^vee> != 2 for {r}"
-            neg = tuple(-x for x in r.vector.coords)
-            assert neg in root_coords, f"root set not closed under negation at {r}"
+            if _sparse_dot(r.support, r.co_support) != two:
+                raise self._invalid(f"<alpha, alpha^vee> != 2 for {r!r}")
+            if _negated(r.support) not in index:
+                raise self._invalid(f"root set not closed under negation at {r!r}")
+            if self.family == "SL" and (
+                sum(c for _, c in r.support) or sum(c for _, c in r.co_support)
+            ):
+                # The zero-sum lift is unique in its class mod the all-ones
+                # vector, so supports then identify roots; zero-sum coroots
+                # make pairings independent of the representative.
+                raise self._invalid(f"root or coroot with nonzero coordinate sum at {r!r}")
+            if self.family == "SO_odd":
+                parities = {c & 1 for _, c in r.support}
+                if len(r.support) < self.rank:
+                    parities.add(0)
+                if len(parities) > 1:
+                    raise self._invalid(f"root {r!r} is not in the lattice")
         if self.weyl_vector is not None:
+            rho = self.weyl_vector.coords
             for a in self.simple_roots:
-                assert pairing(self.weyl_vector, a) == 1, (
-                    f"Weyl vector pairs to {pairing(self.weyl_vector, a)} != 1 "
-                    f"with simple root {a.vector.coords} of {self.name}"
-                )
+                num = sum(rho[i] * c for i, c in a.co_support)
+                if num != self.pairing_denominator:
+                    raise self._invalid(
+                        f"Weyl vector pairs to {Fraction(num, self.pairing_denominator)} "
+                        f"!= 1 with simple root {a.vector.coords}"
+                    )
 
     def to_json(self) -> dict:
         return {"type": self.family, "n": self.rank}
@@ -201,18 +250,32 @@ class Weight:
         coords = tuple(int(c) for c in self.coords)
         object.__setattr__(self, "coords", self.datum._canonical(coords))
 
+    # The arithmetic below builds its results with ``_trusted_weight``,
+    # skipping ``__post_init__``: sums, differences, negatives and integer
+    # multiples of lattice points of one datum keep the coordinate count,
+    # keep an SL last coordinate at 0 and keep SO_odd coordinates of equal
+    # parity, so they are canonical lattice points already.
+
     def __add__(self, other: "Weight") -> "Weight":
-        _same_datum(self, other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)), self.datum)
+        if other.datum is not self.datum:
+            _same_datum(self, other)
+        return _trusted_weight(
+            tuple(a + b for a, b in zip(self.coords, other.coords)), self.datum
+        )
 
     def __sub__(self, other: "Weight") -> "Weight":
-        _same_datum(self, other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)), self.datum)
+        if other.datum is not self.datum:
+            _same_datum(self, other)
+        return _trusted_weight(
+            tuple(a - b for a, b in zip(self.coords, other.coords)), self.datum
+        )
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords), self.datum)
+        return _trusted_weight(tuple(-a for a in self.coords), self.datum)
 
     def __mul__(self, k: int) -> "Weight":
+        if isinstance(k, int):
+            return _trusted_weight(tuple(k * a for a in self.coords), self.datum)
         return Weight(tuple(k * a for a in self.coords), self.datum)
 
     __rmul__ = __mul__
@@ -227,16 +290,81 @@ class Weight:
         return f"Weight({self.coords} @ {self.datum.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
-    """A root: its character-lattice vector plus its coroot (cocharacter)."""
+_set_coords = Weight.coords.__set__
+_set_datum = Weight.datum.__set__
 
-    vector: Weight
-    coroot: tuple[int, ...]
+
+def _trusted_weight(coords: tuple[int, ...], datum: RootDatum) -> Weight:
+    """A Weight from coordinates already known to be canonical."""
+    w = object.__new__(Weight)
+    _set_coords(w, coords)
+    _set_datum(w, datum)
+    return w
+
+
+# A sparse vector: its nonzero coordinates as (index, value) pairs, in
+# increasing index order.
+Support = tuple[tuple[int, int], ...]
+
+
+def _negated(support: Support) -> Support:
+    return tuple([(i, -c) for i, c in support])
+
+
+def _sparse_dot(a: Support, b: Support) -> int:
+    # Quadratic in the support sizes, which are at most 2 for classical roots.
+    return sum([c * d for i, c in a for j, d in b if i == j])
+
+
+def _dense(support: Support, rank: int) -> tuple[int, ...]:
+    out = [0] * rank
+    for i, c in support:
+        out[i] = c
+    return tuple(out)
+
+
+class Root:
+    """A root: the sparse supports of its vector and of its coroot.
+
+    A classical root or coroot has at most two nonzero coordinates.  For
+    SL the vector's support is its lift with coordinate sum zero, and
+    ``vector`` is the canonical representative with last coordinate zero.
+    The dense views ``vector`` and ``coroot`` are built on first access and
+    kept.  Roots compare by datum identity and the two supports.
+    """
+
+    __slots__ = ("datum", "support", "co_support", "_vector", "_coroot")
+
+    def __init__(self, datum: RootDatum, support: Support, co_support: Support):
+        self.datum = datum
+        self.support = support
+        self.co_support = co_support
+        self._vector = None
+        self._coroot = None
 
     @property
-    def datum(self) -> RootDatum:
-        return self.vector.datum
+    def vector(self) -> Weight:
+        if self._vector is None:
+            self._vector = Weight(_dense(self.support, self.datum.rank), self.datum)
+        return self._vector
+
+    @property
+    def coroot(self) -> tuple[int, ...]:
+        if self._coroot is None:
+            self._coroot = _dense(self.co_support, self.datum.rank)
+        return self._coroot
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Root):
+            return NotImplemented
+        return (
+            self.datum is other.datum
+            and self.support == other.support
+            and self.co_support == other.co_support
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.datum), self.support, self.co_support))
 
     def __repr__(self) -> str:
         return f"Root({self.vector.coords}, coroot={self.coroot})"
@@ -255,11 +383,25 @@ def _same_datum(a, b) -> None:
 
 def pairing(lam: Weight, alpha: Root) -> int:
     """The canonical pairing <lam, alpha^vee>, an exact integer."""
-    _same_datum(lam, alpha.vector)
-    num = sum(a * b for a, b in zip(lam.coords, alpha.coroot))
-    den = lam.datum.pairing_denominator
+    datum = lam.datum
+    if alpha.datum is not datum:
+        _same_datum(lam, alpha)
+    coords = lam.coords
+    num = 0
+    for i, c in alpha.co_support:
+        num += coords[i] * c
+    den = datum.pairing_denominator
+    if den == 1:
+        return num
     q, r = divmod(num, den)
-    assert r == 0, f"non-integral pairing {num}/{den}; invalid lattice point slipped through"
+    if r:
+        # Weights of the classical families are checked on construction, so
+        # only a custom datum's caller can supply a point off the lattice.
+        error = LatticeMembershipError if datum.family == "custom" else InternalInconsistencyError
+        raise error(
+            f"non-integral pairing {num}/{den} of {lam.coords} with the coroot "
+            f"{alpha.coroot} of {datum.name}: not a point of its lattice"
+        )
     return q
 
 
@@ -274,7 +416,7 @@ def dot_reflect(lam: Weight, alpha: Root) -> Weight:
     Equals ``reflect(lam + rho, alpha) - rho`` for any rho with
     ``<rho, alpha^vee> = 1``, in particular the datum's Weyl vector.
     """
-    if alpha not in lam.datum.simple_roots:
+    if alpha not in lam.datum._simple_set:
         raise NonSimpleRootError(f"{alpha!r} is not a simple root of {lam.datum.name}")
     return reflect(lam, alpha) - alpha.vector
 
@@ -360,7 +502,11 @@ def simple_reflection_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
         for alpha in datum.simple_roots:
             gens.append(_reflection_as_signed_permutation(datum, alpha))
     for g, a in zip(gens, datum.simple_roots):
-        assert g.apply(a.vector) == -a.vector, "generator does not negate its simple root"
+        if g.apply(a.vector) != -a.vector:
+            raise InternalInconsistencyError(
+                f"Weyl generator {g.images} does not negate the simple root "
+                f"{a.vector.coords} of {datum.name}"
+            )
     return tuple(gens)
 
 
@@ -442,14 +588,6 @@ def _weyl_closure(datum: RootDatum) -> frozenset[WeylElement]:
 # Construction of the classical data
 
 
-def _e(n: int, i: int, val: int = 1) -> tuple[int, ...]:
-    return tuple(val if j == i else 0 for j in range(n))
-
-
-def _e2(n: int, i: int, vi: int, j: int, vj: int) -> tuple[int, ...]:
-    return tuple(vi if k == i else (vj if k == j else 0) for k in range(n))
-
-
 def make_datum(family: str, n: int) -> RootDatum:
     """Construct (and cache) the root datum of a classical family.
 
@@ -475,48 +613,40 @@ def _build_datum(family: str, n: int) -> RootDatum:
     if family == "Torus":
         return RootDatum("Torus", n, [], [], (0,) * n, name=f"T({n})")
 
+    # Supports of l_i - l_j and l_i + l_j (i < j), scaled by s.
+    def minus(s: int) -> list[Support]:
+        return [((i, s), (j, -s)) for i in range(n) for j in range(i + 1, n)]
+
+    def plus(s: int) -> list[Support]:
+        return [((i, s), (j, s)) for i in range(n) for j in range(i + 1, n)]
+
+    def single(s: int) -> list[Support]:
+        return [((i, s),) for i in range(n)]
+
+    def same(supports: list[Support]) -> list[tuple[Support, Support]]:
+        return [(sup, sup) for sup in supports]
+
+    chain = [((k, 1), (k + 1, -1)) for k in range(n - 1)]
     if family in ("GL", "SL"):
-        positives = [
-            (_e2(n, i, 1, j, -1), _e2(n, i, 1, j, -1)) for i in range(n) for j in range(i + 1, n)
-        ]
-        simples = [_e2(n, k, 1, k + 1, -1) for k in range(n - 1)]
         rho = tuple(range(n - 1, -1, -1))
-        return RootDatum(family, n, positives, simples, rho, name=f"{family}({n})")
+        return RootDatum(family, n, same(minus(1)), chain, rho, name=f"{family}({n})")
 
     if family == "Sp":
-        positives = [
-            (_e2(n, i, 1, j, -1), _e2(n, i, 1, j, -1)) for i in range(n) for j in range(i + 1, n)
-        ]
-        positives += [
-            (_e2(n, i, 1, j, 1), _e2(n, i, 1, j, 1)) for i in range(n) for j in range(i + 1, n)
-        ]
-        positives += [(_e(n, i, 2), _e(n, i, 1)) for i in range(n)]
-        simples = [_e2(n, k, 1, k + 1, -1) for k in range(n - 1)] + [_e(n, n - 1, 2)]
+        positives = same(minus(1)) + same(plus(1)) + list(zip(single(2), single(1)))
         rho = tuple(range(n, 0, -1))
-        return RootDatum("Sp", n, positives, simples, rho, name=f"Sp({2 * n})")
+        return RootDatum("Sp", n, positives, chain + [((n - 1, 2),)], rho, name=f"Sp({2 * n})")
 
     if family == "SO_even":
-        positives = [
-            (_e2(n, i, 1, j, -1), _e2(n, i, 1, j, -1)) for i in range(n) for j in range(i + 1, n)
-        ]
-        positives += [
-            (_e2(n, i, 1, j, 1), _e2(n, i, 1, j, 1)) for i in range(n) for j in range(i + 1, n)
-        ]
-        simples = [_e2(n, k, 1, k + 1, -1) for k in range(n - 1)] + [_e2(n, n - 2, 1, n - 1, 1)]
+        positives = same(minus(1)) + same(plus(1))
+        simples = chain + [((n - 2, 1), (n - 1, 1))]
         rho = tuple(range(n - 1, -1, -1))
         return RootDatum("SO_even", n, positives, simples, rho, name=f"SO({2 * n})")
 
     assert family == "SO_odd"
     # Spin weight lattice, half-character units: every plain vector below is
     # doubled; short coroots stay doubled, long coroots are the plain e_i-e_j.
-    positives = [
-        (_e2(n, i, 2, j, -2), _e2(n, i, 1, j, -1)) for i in range(n) for j in range(i + 1, n)
-    ]
-    positives += [
-        (_e2(n, i, 2, j, 2), _e2(n, i, 1, j, 1)) for i in range(n) for j in range(i + 1, n)
-    ]
-    positives += [(_e(n, i, 2), _e(n, i, 2)) for i in range(n)]
-    simples = [_e2(n, k, 2, k + 1, -2) for k in range(n - 1)] + [_e(n, n - 1, 2)]
+    positives = list(zip(minus(2), minus(1))) + list(zip(plus(2), plus(1))) + same(single(2))
+    simples = [((k, 2), (k + 1, -2)) for k in range(n - 1)] + [((n - 1, 2),)]
     rho = tuple(2 * (n - i) - 1 for i in range(n))
     return RootDatum(
         "SO_odd", n, positives, simples, rho, pairing_denominator=2, name=f"SO({2 * n + 1})"
@@ -536,13 +666,23 @@ def custom_datum(
     ``positive_pairs`` lists the positive roots as (vector, coroot);
     negatives are filled in automatically.  ``weyl_vector_coords`` may be
     omitted for lattices that contain no vector pairing to 1 with every
-    simple coroot (adjoint data).
+    simple coroot (adjoint data).  Data violating the root-datum axioms
+    raise ``InvalidRootDatumError``.
     """
+
+    def support(coords: Iterable[int]) -> Support:
+        coords = tuple(int(c) for c in coords)
+        if len(coords) != rank:
+            raise LatticeMembershipError(
+                f"expected {rank} coordinates for {name}, got {len(coords)}"
+            )
+        return tuple((i, c) for i, c in enumerate(coords) if c)
+
     return RootDatum(
         "custom",
         rank,
-        positive_pairs,
-        simple_coords,
+        [(support(vec), support(cov)) for vec, cov in positive_pairs],
+        [support(c) for c in simple_coords],
         weyl_vector_coords,
         pairing_denominator=pairing_denominator,
         name=name,

@@ -19,11 +19,12 @@ test for a central isogeny to be etale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from typing import Mapping, Optional
 
+from .arith import is_prime, prime_power_base
 from .errors import DimensionMismatchError, NotPrimeError
-from .cohomology import is_prime
 from .lattice import Root, RootDatum
 
 
@@ -69,22 +70,6 @@ class RingChar:
         return {"kind": self.kind, "p": self.p, "n": self.n}
 
 
-def _prime_power_base(q: int) -> Optional[tuple[int, int]]:
-    """(p, k) with q = p^k, k >= 1, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            k = 0
-            while q % f == 0:
-                q //= f
-                k += 1
-            return (f, k) if q == 1 else None
-        f += 1
-    return (q, 1)
-
-
 def q_admissible(q: int, ring_char: RingChar) -> bool:
     """Whether x -> x^q is an additive endomorphism over the given ring.
 
@@ -93,7 +78,7 @@ def q_admissible(q: int, ring_char: RingChar) -> bool:
     """
     if q == 1:
         return True
-    pk = _prime_power_base(q)
+    pk = prime_power_base(q)
     if pk is None:
         return False
     return ring_char.kind == "prime" and ring_char.p == pk[0]
@@ -299,6 +284,16 @@ def frobenius_rigidity_verdict(
         )
     if p is None:
         raise ValueError("residue prime p required for a characteristic-zero base")
+    return _forced_frobenius_verdict(datum, ring_char, p)
+
+
+@lru_cache(maxsize=1024)
+def _forced_frobenius_verdict(datum: RootDatum, ring_char: RingChar, p: int) -> RigidityVerdict:
+    """The verdict on the forced Frobenius data, memoized per (datum, ring, p).
+
+    A certificate on Gr(d, N) asks about GL(d) only, so a sweep over N
+    validates each (d, ring, p) once.
+    """
     verdict = validate_p_morphism(frobenius_p_morphism(datum, p, ring_char))
     if verdict.valid:
         return RigidityVerdict(lift_possible=True)

@@ -51,7 +51,6 @@ def test_unit_twist_needs_the_explicit_flag():
     b = tautological_weights(2, 4)
     with pytest.raises(NotPrimeError):
         frobenius_twist(b, 1)
-    assert frobenius_twist(b, 1, allow_unit_twist=True).weights == b.weights
 
 
 def test_end_weights_of_twisted_rank_two():

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import charpflag
 from charpflag import __version__
 from charpflag.cli import main
 from charpflag.lattice import MAX_RANK_ENV
@@ -240,6 +246,93 @@ def test_isogeny_check_custom_rank_one_data(capsys, tmp_path):
     code, payload = run_json(capsys, "isogeny-check", "--file", path, "--json")
     assert code == 0
     assert payload["result"]["valid"] is True
+
+
+def _gl3_identity_morphism(**overrides):
+    payload = {
+        "source": {"type": "GL", "n": 3},
+        "target": {"type": "GL", "n": 3},
+        "h": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "d_map": [0, 1, 2, 3, 4, 5],
+        "q": 1,
+        "ring_char": {"kind": "zero"},
+    }
+    payload.update(overrides)
+    return payload
+
+
+def test_isogeny_check_index_list_d_map_is_valid(capsys, tmp_path):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(q=[1] * 6))
+    code, payload = run_json(capsys, "isogeny-check", "--file", path, "--json")
+    assert code == 0
+    assert payload["result"]["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"d_map": [0, 1]}, "list of 6 target-root indices"),
+        ({"d_map": [0, 1, 2, 3, 4, -1]}, "d_map entry -1"),
+        ({"d_map": [0, 1, 2, 3, 4, 4]}, "not a bijection"),
+        ({"q": [1, 1]}, "list of 6 multipliers"),
+    ],
+    ids=["short_d_map", "negative_index", "non_bijective_d_map", "short_q"],
+)
+def test_isogeny_check_rejects_bad_root_lists(capsys, tmp_path, overrides, message):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(**overrides))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+    assert message in err
+
+
+def test_isogeny_check_rejects_a_negative_simple_index(capsys, tmp_path):
+    source = {
+        "rank": 2,
+        "positive_roots": [
+            {"vector": [1, -1], "coroot": [1, -1]},
+            {"vector": [2, 0], "coroot": [1, 0]},
+        ],
+        "simple_indices": [-1],
+    }
+    path = _write_morphism(tmp_path, {"source": source, "target": source, "h": [[1, 0], [0, 1]]})
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert code == 1
+    assert err == "usage error: source simple_indices entry -1 is not a positive-root index in 0..1\n"
+
+
+def test_invalid_custom_datum_fails_cleanly_under_optimize(tmp_path):
+    # <alpha, alpha^vee> = 1: not a root datum.  The check must survive
+    # ``python -O``, which strips assert statements.
+    path = _write_morphism(
+        tmp_path,
+        {
+            "source": {
+                "rank": 1,
+                "positive_roots": [{"vector": [1], "coroot": [1]}],
+                "simple_indices": [0],
+            },
+            "target": {"type": "GL", "n": 2},
+            "h": [[1, 0]],
+            "ring_char": {"kind": "zero"},
+        },
+    )
+    src = os.path.dirname(os.path.dirname(charpflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "charpflag", "isogeny-check", "--file", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "<alpha, alpha^vee> != 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_isogeny_check_missing_file(capsys):

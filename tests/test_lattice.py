@@ -1,11 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given
 
 from charpflag import (
     DatumMismatchError,
+    InvalidRootDatumError,
     LatticeMembershipError,
     NonSimpleRootError,
     RankRangeError,
+    custom_datum,
     dot_reflect,
     is_dominant,
     make_datum,
@@ -128,6 +132,53 @@ def test_positive_root_decomposition_uniform_sign():
             coeffs = simple_root_coefficients(datum, beta)
             assert all(c.denominator == 1 for c in coeffs), (datum.name, beta)
             assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs), (datum.name, beta)
+
+
+@pytest.mark.parametrize(
+    "positive,simple,weyl,what",
+    [
+        ([((1,), (1,))], [(1,)], None, "<alpha, alpha^vee> != 2"),
+        ([((2,), (1,)), ((2,), (1,))], [(2,)], None, "duplicate roots"),
+        ([((2,), (1,))], [(4,)], None, "is not a positive root"),
+        ([((2,), (1,))], [(2,)], (2,), "Weyl vector pairs to 2"),
+    ],
+    ids=["pairing_one", "duplicate", "simple_not_positive", "weyl_vector"],
+)
+def test_invalid_custom_data_raise_a_typed_input_error(positive, simple, weyl, what):
+    with pytest.raises(InvalidRootDatumError, match=re.escape(what)):
+        custom_datum(1, positive, simple, weyl_vector_coords=weyl)
+
+
+def test_custom_data_with_wrong_coordinate_counts_are_rejected():
+    with pytest.raises(LatticeMembershipError):
+        custom_datum(1, [((2,), (1, 0))], [(2,)])
+    with pytest.raises(LatticeMembershipError):
+        custom_datum(2, [((2,), (1, 0))], [(2,)])
+
+
+def test_non_integral_custom_pairing_is_a_lattice_error():
+    datum = custom_datum(1, [((4,), (1,))], [(4,)], pairing_denominator=2)
+    (alpha,) = datum.simple_roots
+    assert pairing(datum.weight((2,)), alpha) == 1
+    with pytest.raises(LatticeMembershipError):
+        pairing(datum.weight((1,)), alpha)
+
+
+def test_roots_compare_by_datum_and_supports():
+    gl3, sl3 = make_datum("GL", 3), make_datum("SL", 3)
+    assert gl3.roots[0] == gl3.roots[0] and hash(gl3.roots[0]) == hash(gl3.roots[0])
+    assert gl3.roots[0] != gl3.roots[1]
+    assert gl3.roots[0].support == sl3.roots[0].support
+    assert gl3.roots[0] != sl3.roots[0]
+    with pytest.raises(NonSimpleRootError):
+        dot_reflect(gl3.zero(), sl3.simple_roots[0])
+
+
+def test_classical_supports_are_sparse():
+    for datum in _all_small_datums(max_rank=6):
+        for alpha in datum.roots:
+            assert 1 <= len(alpha.support) <= 2 and 1 <= len(alpha.co_support) <= 2
+            assert alpha.coroot == tuple(dict(alpha.co_support).get(i, 0) for i in range(datum.rank))
 
 
 def test_torus_datum_has_no_roots():
