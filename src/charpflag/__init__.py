@@ -36,18 +36,16 @@ from .lattice import (
     reflect,
     simple_root_coefficients,
     weyl_group,
+    weyl_group_order,
 )
 from .cohomology import (
     BwbStatus,
     DigitExpansion,
     FiltrationH1,
     H1Status,
-    KempfStatus,
     andersen_h1,
     base_p_digits,
     bwb_char0,
-    h1_of_filtration,
-    kempf_status,
     weyl_dim,
 )
 from .bundles import (
@@ -62,8 +60,6 @@ from .rootmorph import (
     PMorphismData,
     RigidityVerdict,
     RingChar,
-    central_isogeny_etale,
-    compose_p_morphisms,
     frobenius_p_morphism,
     frobenius_rigidity_verdict,
     identity_p_morphism,
@@ -107,17 +103,15 @@ __all__ = [
     "reflect",
     "simple_root_coefficients",
     "weyl_group",
+    "weyl_group_order",
     # cohomology
     "BwbStatus",
     "DigitExpansion",
     "FiltrationH1",
     "H1Status",
-    "KempfStatus",
     "andersen_h1",
     "base_p_digits",
     "bwb_char0",
-    "h1_of_filtration",
-    "kempf_status",
     "weyl_dim",
     # bundles
     "EquivariantBundleWeights",
@@ -130,8 +124,6 @@ __all__ = [
     "PMorphismData",
     "RigidityVerdict",
     "RingChar",
-    "central_isogeny_etale",
-    "compose_p_morphisms",
     "frobenius_p_morphism",
     "frobenius_rigidity_verdict",
     "identity_p_morphism",

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .arith import is_prime
-from .errors import NotPrimeError, RankRangeError, WeightShapeError
+from .errors import (
+    InternalInconsistencyError,
+    NotPrimeError,
+    RankRangeError,
+    WeightShapeError,
+)
 from .bundles import end_weights, frobenius_twist, pullback_filtration, tautological_weights
 from .cohomology import (
     FiltrationH1,
@@ -118,8 +123,9 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     Records the case's standard simple root (l_j - l_{j+1} for i < j,
     l_{i-1} - l_i for i > j, none on the diagonal), the pairing of the
     dot-reflected weight with that root, and the H^1 status of mu.  The
-    recorded pairing is asserted against its closed form: p - 2 for the
-    far cases and 2p - 2 for the adjacent case.
+    recorded pairing is checked against its closed form, p - 2 for the far
+    cases and 2p - 2 for the adjacent case; a mismatch raises
+    ``InternalInconsistencyError``.
     """
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} is not prime")
@@ -159,7 +165,8 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
         root = datum.simple_roots[i - 2]
         expected = p - 2
     value = pairing(dot_reflect(mu, root), root)
-    assert value == expected, f"pairing {value} != closed form {expected} for {mu!r}"
+    if value != expected:
+        raise InternalInconsistencyError(f"pairing {value} != closed form {expected} for {mu!r}")
     return CaseRow(
         weight=mu,
         case_tag=case,
@@ -250,5 +257,6 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
     twisted = frobenius_twist(tautological_weights(d, n), p)
     filtration = pullback_filtration(end_weights(twisted))
     rows = tuple(classify_weight(mu, p) for mu in filtration)
-    assert len(rows) == d * d
+    if len(rows) != d * d:
+        raise InternalInconsistencyError(f"{len(rows)} End weights classified, expected {d * d}")
     return certificate_from_rows(d, n, p, rows)

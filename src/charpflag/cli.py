@@ -13,8 +13,7 @@ Every subcommand accepts ``--json`` for a machine-readable report
 envelope; output is byte-stable for fixed inputs and version.  Exit codes:
 0 for definite verdicts, 2 for mathematically inconclusive or undetermined
 outcomes, 1 for usage errors.  ``--batch FILE`` evaluates one query per
-line, in order.  The environment variable CHARP_FLAG_MAX_RANK overrides
-the Weyl-group rank bound (default 8).
+line, in order.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ from .lattice import (
     custom_datum,
     make_datum,
     make_torus,
-    max_weyl_rank,
     normalize_family,
-    weyl_group,
+    weyl_group_order,
 )
 from .rootmorph import (
     PMorphismData,
@@ -50,6 +48,9 @@ from .rootmorph import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
+
+# The roots listing writes every root and coroot densely, O(n^3) bytes.
+ROOTS_MAX_RANK = 64
 
 
 class UsageError(Exception):
@@ -116,10 +117,10 @@ def _parse_ring_spec(spec: str, p: Optional[int]) -> RingChar:
 
 
 def _cmd_roots(args) -> tuple[dict, dict, list[str], int]:
+    if args.n > ROOTS_MAX_RANK:
+        raise UsageError(f"roots --n {args.n} exceeds the bound {ROOTS_MAX_RANK}")
     datum = _resolve_datum(args.type, args.n)
-    order = None
-    if datum.rank <= max_weyl_rank():
-        order = len(weyl_group(datum))
+    order = weyl_group_order(datum)
     result = {
         "datum": datum.to_json(),
         "name": datum.name,
@@ -135,7 +136,7 @@ def _cmd_roots(args) -> tuple[dict, dict, list[str], int]:
         f"datum: {datum.name}  (rank {datum.rank}, {len(datum.roots)} roots)",
         "simple roots: " + " ".join(str(r.vector.coords) for r in datum.simple_roots),
         f"weyl vector: {None if datum.weyl_vector is None else datum.weyl_vector.coords}",
-        f"weyl group order: {order if order is not None else 'not computed (rank bound)'}",
+        f"weyl group order: {order}",
     ]
     return {"type": args.type, "n": args.n}, result, text, EXIT_OK
 

@@ -87,7 +87,10 @@ class H1Status:
 
     @classmethod
     def nonzero(cls, highest_weight: Weight) -> "H1Status":
-        assert is_dominant(highest_weight), "largest weight of a nonzero H^1 must be dominant"
+        if not is_dominant(highest_weight):
+            raise InternalInconsistencyError(
+                f"largest weight {highest_weight!r} of a nonzero H^1 is not dominant"
+            )
         return cls("nonzero", highest_weight=highest_weight)
 
     @classmethod
@@ -111,18 +114,6 @@ class H1Status:
             else self.highest_weight.to_json(),
             "undetermined_reason": self.reason,
         }
-
-
-@dataclass(frozen=True, slots=True)
-class KempfStatus:
-    h0_nonzero: bool
-    higher_vanish_if_dominant: bool
-
-
-def kempf_status(lam: Weight) -> KempfStatus:
-    """Kempf vanishing: H^0 != 0 iff dominant; then all higher H^i vanish."""
-    dom = is_dominant(lam)
-    return KempfStatus(h0_nonzero=dom, higher_vanish_if_dominant=dom)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +150,10 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
             continue
         lam = dot_reflect(mu, alpha)
         m = pairing(lam, alpha)
-        assert m == -c - 2
+        if m != -c - 2:
+            raise InternalInconsistencyError(
+                f"<s_alpha . mu, alpha^vee> = {m} != {-c - 2} for {mu!r} and {alpha!r}"
+            )
         if m <= 0:
             continue  # criterion needs <lam, alpha^vee> > 0
         verdicts.append((alpha, _andersen_one_root(mu, lam, alpha, m, p)))
@@ -234,11 +228,6 @@ def aggregate_h1_statuses(statuses: Iterable[H1Status]) -> FiltrationH1:
             continue
         return FiltrationH1.UNKNOWN
     return FiltrationH1.TRIVIAL_MODULE if saw_trivial else FiltrationH1.ZERO
-
-
-def h1_of_filtration(weights: Iterable[Weight], p: int) -> FiltrationH1:
-    """Aggregate H^1 over an equivariant line-bundle filtration's weights."""
-    return aggregate_h1_statuses(andersen_h1(w, p) for w in weights)
 
 
 # ---------------------------------------------------------------------------

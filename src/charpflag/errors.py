@@ -26,7 +26,11 @@ class NonSimpleRootError(CharpFlagError, ValueError):
 
 
 class UnsupportedDatumError(CharpFlagError, ValueError):
-    """Operation is only implemented for type A (GL/SL) data."""
+    """Operation not supported for this datum.
+
+    Raised for type A (GL/SL)-only operations on other data, and for
+    operations that need a Weyl vector on a datum without one.
+    """
 
 
 class NotPrimeError(CharpFlagError, ValueError):

@@ -33,7 +33,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,10 +46,11 @@ from .errors import (
     LatticeMembershipError,
     NonSimpleRootError,
     RankRangeError,
+    UnsupportedDatumError,
 )
 
-DEFAULT_MAX_RANK = 8
-MAX_RANK_ENV = "CHARP_FLAG_MAX_RANK"
+# Rank bound for enumerating the Weyl group: 2^8 8! = 10,321,920 elements.
+WEYL_GROUP_MAX_RANK = 8
 
 # Canonical family tags accepted by make_datum.
 FAMILIES = ("GL", "SL", "Sp", "SO_odd", "SO_even", "Torus")
@@ -537,37 +537,16 @@ def _reflection_as_signed_permutation(datum: RootDatum, alpha: Root) -> WeylElem
     return WeylElement(tuple(imgs), datum)
 
 
-def max_weyl_rank() -> int:
-    """Rank bound for Weyl group generation (env CHARP_FLAG_MAX_RANK)."""
-    raw = os.environ.get(MAX_RANK_ENV)
-    if raw is None:
-        return DEFAULT_MAX_RANK
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise RankRangeError(f"{MAX_RANK_ENV}={raw!r} is not an integer") from None
-    if bound < 1:
-        raise RankRangeError(f"{MAX_RANK_ENV} must be >= 1, got {bound}")
-    return bound
-
-
 def weyl_group(datum: RootDatum) -> frozenset[WeylElement]:
     """The full Weyl group, by closure of the simple reflections.
 
-    Guarded by the configurable rank bound; note that non-A families grow
-    like 2^n n!, so large ranks are deliberately out of reach.
+    Bounded at rank ``WEYL_GROUP_MAX_RANK``: non-A families grow like
+    2^n n!.  ``weyl_group_order`` gives the order at any rank.
     """
-    bound = max_weyl_rank()
-    if datum.rank > bound:
+    if datum.rank > WEYL_GROUP_MAX_RANK:
         raise RankRangeError(
-            f"rank {datum.rank} exceeds the Weyl group bound {bound} "
-            f"(override with {MAX_RANK_ENV})"
+            f"rank {datum.rank} exceeds the Weyl group bound {WEYL_GROUP_MAX_RANK}"
         )
-    return _weyl_closure(datum)
-
-
-@lru_cache(maxsize=32)
-def _weyl_closure(datum: RootDatum) -> frozenset[WeylElement]:
     gens = simple_reflection_elements(datum)
     ident = identity_element(datum)
     seen = {ident}
@@ -582,6 +561,40 @@ def _weyl_closure(datum: RootDatum) -> frozenset[WeylElement]:
                     nxt.append(c)
         frontier = nxt
     return frozenset(seen)
+
+
+def weyl_group_order(datum: RootDatum) -> int:
+    """|W| by Kostant's height formula, without enumerating W.
+
+    The height of a positive coroot is its pairing with the Weyl vector.
+    With n_k positive roots of height k, the exponents are the dual
+    partition of (n_1, n_2, ...), so |W| = prod_k (k+1)^(n_k - n_{k+1})
+    (Kostant, Amer. J. Math. 81 (1959); the coroots have the same Weyl
+    group).
+    """
+    rho = datum.weyl_vector
+    if rho is None:
+        raise UnsupportedDatumError(
+            f"{datum.name} has no Weyl vector; its Weyl group order needs one"
+        )
+    counts: dict[int, int] = {}
+    for beta in datum.positive_roots:
+        height = pairing(rho, beta)
+        if height < 1:
+            raise datum._invalid(f"positive root {beta!r} has coroot height {height} < 1")
+        counts[height] = counts.get(height, 0) + 1
+    order = 1
+    for k in range(1, max(counts, default=0) + 1):
+        exponent_count = counts.get(k, 0) - counts.get(k + 1, 0)
+        if exponent_count < 0:
+            # Only custom data can get here: a root system has at least as
+            # many positive roots of height k as of height k + 1.
+            raise datum._invalid(
+                f"{counts.get(k + 1, 0)} positive roots of height {k + 1} but "
+                f"{counts.get(k, 0)} of height {k}: not a root system"
+            )
+        order *= (k + 1) ** exponent_count
+    return order
 
 
 # ---------------------------------------------------------------------------

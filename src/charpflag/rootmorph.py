@@ -12,15 +12,12 @@ admissible exactly in those cases.  The Frobenius of a split reductive
 group is the special case ``h = p * id``, ``d = id``, ``q == p``; its
 rigidification is discrete and hence pinned by the special fibre, which
 forces ``q == p`` and rules out deformations over any base where p is
-nonzero.  Both checks are implemented here, along with the coprimality
-test for a central isogeny to be etale.
+nonzero.  Both checks are implemented here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import gcd
 from typing import Mapping, Optional
 
 from .arith import is_prime, prime_power_base
@@ -187,6 +184,7 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
 
 
 def identity_p_morphism(datum: RootDatum, ring_char: RingChar) -> PMorphismData:
+    """The identity data h = id, d = id, q == 1: valid over every ring."""
     ident = tuple(
         tuple(1 if i == j else 0 for j in range(datum.rank)) for i in range(datum.rank)
     )
@@ -212,33 +210,6 @@ def frobenius_p_morphism(datum: RootDatum, p: int, ring_char: RingChar) -> PMorp
         d_map={a: a for a in datum.roots},
         q={a: p for a in datum.roots},
         ring_char=ring_char,
-    )
-
-
-def compose_p_morphisms(outer: PMorphismData, inner: PMorphismData) -> PMorphismData:
-    """Data of the composite morphism (inner first, then outer).
-
-    The composite lattice map is ``h_inner o h_outer`` and the multipliers
-    multiply along the root bijections.
-    """
-    if inner.target is not outer.source:
-        raise DimensionMismatchError("inner.target must be outer.source to compose")
-    h = tuple(
-        tuple(
-            sum(inner.h[i][k] * outer.h[k][j] for k in range(outer.source.rank))
-            for j in range(outer.target.rank)
-        )
-        for i in range(inner.source.rank)
-    )
-    d_map = {a: outer.d_map[inner.d_map[a]] for a in inner.source.roots}
-    q = {a: inner.q[a] * outer.q[inner.d_map[a]] for a in inner.source.roots}
-    return PMorphismData(
-        source=inner.source,
-        target=outer.target,
-        h=h,
-        d_map=d_map,
-        q=q,
-        ring_char=inner.ring_char,
     )
 
 
@@ -268,8 +239,9 @@ def frobenius_rigidity_verdict(
     """Decide liftability of the Frobenius homomorphism over a base ring.
 
     The rigidification of any Frobenius lifting is discrete, hence pinned
-    to ``h = p * id, d = id, q == p`` by the special fibre; the verdict is
-    the admissibility of that data.  A toral datum (no roots) carries no
+    to ``h = p * id, d = id, q == p`` by the special fibre.  That data
+    satisfies both lattice relations on every root, so the verdict is
+    ``q_admissible(p, ring_char)``.  A toral datum (no roots) carries no
     multiplier constraint: the multiplication-by-p endomorphism lifts
     Frobenius over every base.
     """
@@ -284,18 +256,9 @@ def frobenius_rigidity_verdict(
         )
     if p is None:
         raise ValueError("residue prime p required for a characteristic-zero base")
-    return _forced_frobenius_verdict(datum, ring_char, p)
-
-
-@lru_cache(maxsize=1024)
-def _forced_frobenius_verdict(datum: RootDatum, ring_char: RingChar, p: int) -> RigidityVerdict:
-    """The verdict on the forced Frobenius data, memoized per (datum, ring, p).
-
-    A certificate on Gr(d, N) asks about GL(d) only, so a sweep over N
-    validates each (d, ring, p) once.
-    """
-    verdict = validate_p_morphism(frobenius_p_morphism(datum, p, ring_char))
-    if verdict.valid:
+    if not is_prime(p):
+        raise NotPrimeError(f"Frobenius multiplier {p} is not prime")
+    if q_admissible(p, ring_char):
         return RigidityVerdict(lift_possible=True)
     return RigidityVerdict(
         lift_possible=False,
@@ -304,12 +267,3 @@ def _forced_frobenius_verdict(datum: RootDatum, ring_char: RingChar, p: int) -> 
             f"a base of {ring_char.describe()}: x -> x^{p} is additive only where {p} = 0"
         ),
     )
-
-
-def central_isogeny_etale(kernel_order: int, p: int) -> bool:
-    """Whether a central isogeny with the given kernel order is etale at p."""
-    if kernel_order < 1:
-        raise ValueError(f"kernel order must be >= 1, got {kernel_order}")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    return gcd(kernel_order, p) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from charpflag import (
     H1Status,
+    InternalInconsistencyError,
     NotPrimeError,
     RankRangeError,
     VERDICT_INCONCLUSIVE,
@@ -17,6 +18,7 @@ from charpflag import (
     check_equivariant_smoothness,
     classify_weight,
     make_datum,
+    pairing,
 )
 from charpflag.certificate import (
     CASE_ADJACENT,
@@ -93,6 +95,15 @@ def test_classify_pairings_are_affine_in_p():
         offset = v0 - slope * p0
         assert (slope, offset) == (expected_slope, expected_offset)
         assert v2 == slope * p2 + offset
+
+
+def test_classify_checks_the_closed_form_at_runtime(monkeypatch):
+    # A raised error, not an assert, so that python -O keeps the check.
+    monkeypatch.setattr(
+        "charpflag.certificate.pairing", lambda lam, alpha: pairing(lam, alpha) + 1
+    )
+    with pytest.raises(InternalInconsistencyError, match="closed form 5"):
+        classify_weight(_end_weight(8, 7, 4, 2), 7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,6 @@ import pytest
 import charpflag
 from charpflag import __version__
 from charpflag.cli import main
-from charpflag.lattice import MAX_RANK_ENV
 
 
 def run_cli(capsys, *argv):
@@ -113,14 +113,20 @@ def test_roots_listing(capsys):
     assert result["weyl_vector"] == [3, 2, 1, 0]
 
 
-def test_roots_respects_rank_bound(capsys, monkeypatch):
-    monkeypatch.setenv(MAX_RANK_ENV, "3")
-    code, payload = run_json(capsys, "roots", "--type", "GL", "--n", "5", "--json")
+def test_roots_reports_the_weyl_group_order_at_every_rank(capsys):
+    code, payload = run_json(capsys, "roots", "--type", "Sp", "--n", "8", "--json")
     assert code == 0
-    assert payload["result"]["weyl_group_order"] is None
-    monkeypatch.setenv(MAX_RANK_ENV, "5")
-    code, payload = run_json(capsys, "roots", "--type", "GL", "--n", "5", "--json")
-    assert payload["result"]["weyl_group_order"] == 120
+    assert payload["result"]["weyl_group_order"] == 10321920
+    code, out, _ = run_cli(capsys, "roots", "--type", "GL", "--n", "64")
+    assert code == 0
+    assert f"weyl group order: {math.factorial(64)}" in out
+
+
+def test_roots_rank_is_bounded_at_64(capsys):
+    code, out, err = run_cli(capsys, "roots", "--type", "GL", "--n", "65", "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: roots --n 65 exceeds the bound 64\n"
 
 
 def test_roots_unknown_family(capsys):
@@ -164,6 +170,23 @@ def test_rigidity_toral(capsys):
     assert code == 0
     assert payload["result"]["verdict"] == "lift_possible"
     assert "toral" in payload["result"]["note"]
+
+
+@pytest.mark.parametrize(
+    "ring,message",
+    [
+        ("0", "Frobenius multiplier 4 is not prime"),
+        ("p", "ring characteristic 4 is not prime"),
+        ("p^2", "4 is not prime"),
+    ],
+)
+def test_rigidity_rejects_a_composite_p(capsys, ring, message):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", ring, "--p", "4", "--json"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_rigidity_ring_p_conflict(capsys):

@@ -14,14 +14,13 @@ from charpflag import (
     dot_reflect,
     end_weights,
     frobenius_twist,
-    h1_of_filtration,
     is_dominant,
-    kempf_status,
     make_datum,
     pairing,
     tautological_weights,
     weyl_dim,
 )
+from charpflag.cohomology import aggregate_h1_statuses
 
 from conftest import datum_weights
 
@@ -62,24 +61,6 @@ def test_digit_roundtrip_bulk():
         exp = base_p_digits(m, p)
         assert exp.value() == m
         assert all(0 <= d < p for d in exp.digits) and exp.digits[-1] != 0
-
-
-# ---------------------------------------------------------------------------
-# Kempf
-
-
-def test_kempf_examples():
-    d = make_datum("GL", 4)
-    assert kempf_status(d.zero()).h0_nonzero
-    assert not kempf_status(d.weight((5, -5, 0, 0))).h0_nonzero
-    assert kempf_status(d.weight((3, 1, 0, 0))).h0_nonzero
-
-
-@given(datum_weights(families=("GL", "SL")))
-def test_kempf_matches_dominance(w):
-    st_ = kempf_status(w)
-    assert st_.h0_nonzero == is_dominant(w)
-    assert st_.higher_vanish_if_dominant == is_dominant(w)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +140,7 @@ def test_andersen_nonzero_highest_weight_is_dominant(w, p):
 
 
 def test_empty_filtration_is_zero():
-    assert h1_of_filtration([], 5) == FiltrationH1.ZERO
+    assert aggregate_h1_statuses(andersen_h1(w, 5) for w in []) == FiltrationH1.ZERO
 
 
 def test_end_bundle_filtration_is_trivial_module():
@@ -170,7 +151,7 @@ def test_end_bundle_filtration_is_trivial_module():
     assert all(s.status in ("zero", "nonzero") for s in statuses)
     assert any(s.is_trivial_module for s in statuses)
     assert all(s.is_zero or s.is_trivial_module for s in statuses)
-    assert h1_of_filtration(weights, 5) == FiltrationH1.TRIVIAL_MODULE
+    assert aggregate_h1_statuses(andersen_h1(w, 5) for w in weights) == FiltrationH1.TRIVIAL_MODULE
 
 
 def test_filtration_with_nonzero_highest_weight_is_unknown():
@@ -178,22 +159,22 @@ def test_filtration_with_nonzero_highest_weight_is_unknown():
     # dominant, so the largest weight is 4(l_1 - l_2) != 0.
     d2 = make_datum("GL", 2)
     assert andersen_h1(d2.weight((-5, 5)), 5).highest_weight.coords == (4, -4)
-    assert h1_of_filtration([d2.weight((-5, 5))], 5) == FiltrationH1.UNKNOWN
+    assert aggregate_h1_statuses([andersen_h1(d2.weight((-5, 5)), 5)]) == FiltrationH1.UNKNOWN
 
 
 def test_filtration_with_undetermined_weight_is_unknown():
     d = make_datum("GL", 4)
     weights = [d.zero(), d.weight((0, 2, 0, 0))]
-    assert h1_of_filtration(weights, 5) == FiltrationH1.UNKNOWN
+    assert aggregate_h1_statuses(andersen_h1(w, 5) for w in weights) == FiltrationH1.UNKNOWN
 
 
 def test_filtration_is_order_independent():
     weights = list(end_weights(frobenius_twist(tautological_weights(3, 8), 7)).weights)
     rng = random.Random(11)
-    reference = h1_of_filtration(weights, 7)
+    reference = aggregate_h1_statuses(andersen_h1(w, 7) for w in weights)
     for _ in range(5):
         rng.shuffle(weights)
-        assert h1_of_filtration(weights, 7) == reference
+        assert aggregate_h1_statuses(andersen_h1(w, 7) for w in weights) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -18,8 +19,9 @@ from charpflag import (
     reflect,
     simple_root_coefficients,
     weyl_group,
+    weyl_group_order,
 )
-from charpflag.lattice import MAX_RANK_ENV, identity_element, simple_reflection_elements
+from charpflag.lattice import identity_element, simple_reflection_elements
 
 from conftest import CLASSICAL_FAMILIES, FAMILY_MIN_RANK, datum_weights, weight_root_pairs
 
@@ -332,12 +334,48 @@ def test_composition_is_associative():
                 assert (a * b) * c == a * (b * c)
 
 
-def test_rank_bound_is_enforced_and_overridable(monkeypatch):
-    monkeypatch.setenv(MAX_RANK_ENV, "3")
+def test_weyl_group_enumeration_is_bounded_at_rank_8():
+    assert len(weyl_group(make_datum("SL", 7))) == 5040
+    for family in CLASSICAL_FAMILIES:
+        with pytest.raises(RankRangeError, match="bound 8"):
+            weyl_group(make_datum(family, 9))
     with pytest.raises(RankRangeError):
-        weyl_group(make_datum("GL", 4))
-    monkeypatch.setenv(MAX_RANK_ENV, "4")
-    assert len(weyl_group(make_datum("GL", 4))) == 24
-    monkeypatch.setenv(MAX_RANK_ENV, "zebra")
-    with pytest.raises(RankRangeError):
-        weyl_group(make_datum("GL", 2))
+        weyl_group(make_torus(9))
+
+
+def test_weyl_group_order_matches_enumeration():
+    for family in CLASSICAL_FAMILIES:
+        for n in range(1 if family in ("GL", "SL") else 2, 6):
+            datum = make_datum(family, n)
+            assert weyl_group_order(datum) == len(weyl_group(datum)), datum.name
+    for n in range(1, 6):
+        assert weyl_group_order(make_torus(n)) == len(weyl_group(make_torus(n))) == 1
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 31, 32, 63, 64])
+def test_weyl_group_order_closed_forms(n):
+    order = math.factorial(n)
+    assert weyl_group_order(make_datum("GL", n)) == order
+    assert weyl_group_order(make_datum("SL", n)) == order
+    if n >= 2:
+        assert weyl_group_order(make_datum("Sp", n)) == 2**n * order
+        assert weyl_group_order(make_datum("SO_odd", n)) == 2**n * order
+        assert weyl_group_order(make_datum("SO_even", n)) == 2 ** (n - 1) * order
+
+
+def test_weyl_group_order_rejects_bad_heights():
+    # e_2 is positive but pairs to 0 with the Weyl vector.
+    flat = custom_datum(
+        2, [((2, 0), (1, 0)), ((0, 2), (0, 1))], [(2, 0)], weyl_vector_coords=(1, 0)
+    )
+    with pytest.raises(InvalidRootDatumError, match="height 0"):
+        weyl_group_order(flat)
+    # Two positive roots of height 2 over one of height 1: not a root system.
+    lopsided = custom_datum(
+        3,
+        [((2, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 2, 0)), ((0, 0, 1), (0, 0, 2))],
+        [(2, 0, 0)],
+        weyl_vector_coords=(1, 1, 1),
+    )
+    with pytest.raises(InvalidRootDatumError, match="not a root system"):
+        weyl_group_order(lopsided)

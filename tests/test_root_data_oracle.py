@@ -120,7 +120,7 @@ def test_sparse_pairing_matches_the_dense_pairing(case):
         assert pairing(lam, alpha) == dense
 
 
-def test_rigidity_memo_repeats_its_verdict_and_still_checks_p():
+def test_rigidity_verdict_repeats_and_still_checks_p():
     datum = make_datum("GL", 3)
     ring = RingChar.prime_power(5, 2)
     first = frobenius_rigidity_verdict(datum, ring)
@@ -132,8 +132,7 @@ def test_rigidity_memo_repeats_its_verdict_and_still_checks_p():
     zero = RingChar.zero()
     at_5 = frobenius_rigidity_verdict(datum, zero, p=5)
     assert frobenius_rigidity_verdict(datum, zero, p=5) == at_5
-    # The memo is keyed on p as well: over characteristic 0 the reason
-    # names the residue prime.
+    # Over characteristic 0 the reason names the residue prime.
     assert "x^7" in frobenius_rigidity_verdict(datum, zero, p=7).reason
     with pytest.raises(ValueError, match="residue prime"):
         frobenius_rigidity_verdict(datum, zero)

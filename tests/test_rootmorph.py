@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from charpflag import (
     DimensionMismatchError,
+    UnsupportedDatumError,
     PMorphismData,
     RingChar,
-    central_isogeny_etale,
-    compose_p_morphisms,
     custom_datum,
     frobenius_p_morphism,
     frobenius_rigidity_verdict,
@@ -15,6 +14,8 @@ from charpflag import (
     make_datum,
     make_torus,
     validate_p_morphism,
+    weyl_group,
+    weyl_group_order,
 )
 from charpflag.rootmorph import q_admissible
 
@@ -56,6 +57,13 @@ def _pgl2_datum():
     # Adjoint datum: root generates the lattice, coroot is doubled; no
     # integral vector pairs to 1 with the simple coroot.
     return custom_datum(1, [((1,), (2,))], [(1,)], name="PGL(2)-rk1")
+
+
+def test_weyl_group_order_of_custom_rank_one_data():
+    sl2 = _sl2_datum()
+    assert weyl_group_order(sl2) == len(weyl_group(sl2)) == 2
+    with pytest.raises(UnsupportedDatumError, match="no Weyl vector"):
+        weyl_group_order(_pgl2_datum())
 
 
 def test_sl2_to_pgl2_quotient_data():
@@ -102,23 +110,6 @@ def test_dimension_mismatch_raises():
     )
     with pytest.raises(DimensionMismatchError):
         validate_p_morphism(data)
-
-
-def test_frobenius_composed_with_frobenius_has_q_p_squared():
-    datum = make_datum("GL", 3)
-    frob = frobenius_p_morphism(datum, 5, RingChar.prime(5))
-    squared = compose_p_morphisms(frob, frob)
-    assert all(q == 25 for q in squared.q.values())
-    assert squared.h[0][0] == 25
-    assert validate_p_morphism(squared).valid  # q = p^2 admissible where p = 0
-
-
-def test_identity_composed_with_frobenius():
-    datum = make_datum("SL", 3)
-    frob = frobenius_p_morphism(datum, 7, RingChar.prime(7))
-    ident = identity_p_morphism(datum, RingChar.prime(7))
-    assert validate_p_morphism(compose_p_morphisms(ident, frob)).valid
-    assert validate_p_morphism(compose_p_morphisms(frob, ident)).valid
 
 
 @given(st.sampled_from(RINGS))
@@ -180,15 +171,23 @@ def test_rigidity_zero_ring_needs_a_residue_prime():
         frobenius_rigidity_verdict(make_datum("GL", 3), RingChar.prime(5), p=7)
 
 
-# ---------------------------------------------------------------------------
-# Etale kernels
+
+def _rigidity_grid_data():
+    for family in ("GL", "SL", "Sp", "SO_odd", "SO_even"):
+        for n in range(1 if family in ("GL", "SL") else 2, 6):
+            yield make_datum(family, n)
+    for n in range(1, 6):
+        yield make_torus(n)
 
 
-def test_central_isogeny_etale_examples():
-    assert central_isogeny_etale(2, 7)
-    assert not central_isogeny_etale(5, 5)
-    assert central_isogeny_etale(1, 5)
-    assert central_isogeny_etale(6, 5)
-    assert not central_isogeny_etale(10, 5)
-    with pytest.raises(ValueError):
-        central_isogeny_etale(0, 5)
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_rigidity_verdict_matches_validating_the_frobenius_data(p):
+    # The verdict reads only q-admissibility; validating the forced data
+    # against every root is the independent reference.
+    rings = (RingChar.zero(), RingChar.prime(p))
+    rings += (RingChar.prime_power(p, 2), RingChar.prime_power(p, 3))
+    for datum in _rigidity_grid_data():
+        for ring in rings:
+            expected = validate_p_morphism(frobenius_p_morphism(datum, p, ring)).valid
+            verdict = frobenius_rigidity_verdict(datum, ring, p=p)
+            assert verdict.lift_possible == expected, (datum.name, ring, p)
