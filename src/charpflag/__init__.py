@@ -34,7 +34,6 @@ from .lattice import (
     make_torus,
     pairing,
     reflect,
-    simple_root_coefficients,
     weyl_group,
     weyl_group_order,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "make_torus",
     "pairing",
     "reflect",
-    "simple_root_coefficients",
     "weyl_group",
     "weyl_group_order",
     # cohomology

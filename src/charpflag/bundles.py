@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPrimeError, RankRangeError
+from .errors import DatumMismatchError, NotPrimeError, RankRangeError
 from .arith import is_prime
 from .lattice import RootDatum, Weight, make_datum
 
@@ -30,7 +30,11 @@ class EquivariantBundleWeights:
     label: str
 
     def __post_init__(self):
-        assert all(w.datum is self.datum for w in self.weights)
+        for w in self.weights:
+            if w.datum is not self.datum:
+                raise DatumMismatchError(
+                    f"weight {w!r} of bundle {self.label} is not a weight of {self.datum.name}"
+                )
 
     @property
     def rank(self) -> int:

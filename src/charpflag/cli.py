@@ -30,14 +30,7 @@ from .arith import prime_power_base
 from .errors import CharpFlagError
 from .certificate import VERDICT_NO_LIFT, check_equivariant_smoothness
 from .cohomology import andersen_h1, bwb_char0
-from .lattice import (
-    RootDatum,
-    custom_datum,
-    make_datum,
-    make_torus,
-    normalize_family,
-    weyl_group_order,
-)
+from .lattice import RootDatum, Weight, custom_datum, make_datum, weyl_group_order
 from .rootmorph import (
     PMorphismData,
     RingChar,
@@ -69,19 +62,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_weight_coords(text: str) -> tuple[int, ...]:
+def _gl_weight(args) -> Weight:
+    """The ``--weight`` of h1/bwb0 as a weight of GL(--N)."""
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        coords = tuple(int(part) for part in args.weight.split(","))
     except ValueError:
-        raise UsageError(f"malformed weight vector {text!r}; expected comma-separated integers")
-    if not coords:
-        raise UsageError("empty weight vector")
-    return coords
+        raise UsageError(
+            f"malformed weight vector {args.weight!r}; expected comma-separated integers"
+        )
+    if args.N is not None and args.N != len(coords):
+        raise UsageError(f"--N {args.N} does not match weight length {len(coords)}")
+    return make_datum("GL", len(coords)).weight(coords)
 
 
-def _resolve_datum(family: str, n: int) -> RootDatum:
-    fam = normalize_family(family)
-    return make_torus(n) if fam == "Torus" else make_datum(fam, n)
+def _json_int(value, what: str) -> int:
+    """A JSON value that must be an integer (2.0 and true are not)."""
+    if type(value) is not int:
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    return tuple(_json_int(v, what) for v in values)
 
 
 def _parse_ring_spec(spec: str, p: Optional[int]) -> RingChar:
@@ -119,7 +121,7 @@ def _parse_ring_spec(spec: str, p: Optional[int]) -> RingChar:
 def _cmd_roots(args) -> tuple[dict, dict, list[str], int]:
     if args.n > ROOTS_MAX_RANK:
         raise UsageError(f"roots --n {args.n} exceeds the bound {ROOTS_MAX_RANK}")
-    datum = _resolve_datum(args.type, args.n)
+    datum = make_datum(args.type, args.n)
     order = weyl_group_order(datum)
     result = {
         "datum": datum.to_json(),
@@ -142,11 +144,8 @@ def _cmd_roots(args) -> tuple[dict, dict, list[str], int]:
 
 
 def _cmd_h1(args) -> tuple[dict, dict, list[str], int]:
-    coords = _parse_weight_coords(args.weight)
-    n = args.N if args.N is not None else len(coords)
-    if n != len(coords):
-        raise UsageError(f"--N {args.N} does not match weight length {len(coords)}")
-    mu = make_datum("GL", n).weight(coords)
+    mu = _gl_weight(args)
+    n = mu.datum.rank
     status = andersen_h1(mu, args.p)
     code = EXIT_INCONCLUSIVE if status.status == "undetermined" else EXIT_OK
     text = [f"weight: {mu.coords}  datum GL({n})  p = {args.p}", f"H1 status: {status.status}"]
@@ -155,7 +154,7 @@ def _cmd_h1(args) -> tuple[dict, dict, list[str], int]:
     if status.reason:
         text.append(f"reason: {status.reason}")
     return (
-        {"weight": list(coords), "N": n, "p": args.p},
+        {"weight": mu.to_json(), "N": n, "p": args.p},
         status.to_json(),
         text,
         code,
@@ -163,11 +162,8 @@ def _cmd_h1(args) -> tuple[dict, dict, list[str], int]:
 
 
 def _cmd_bwb0(args) -> tuple[dict, dict, list[str], int]:
-    coords = _parse_weight_coords(args.weight)
-    n = args.N if args.N is not None else len(coords)
-    if n != len(coords):
-        raise UsageError(f"--N {args.N} does not match weight length {len(coords)}")
-    lam = make_datum("GL", n).weight(coords)
+    lam = _gl_weight(args)
+    n = lam.datum.rank
     status = bwb_char0(lam)
     if status.all_zero:
         text = [f"weight: {lam.coords}  datum GL({n})", "all cohomology vanishes (singular)"]
@@ -177,7 +173,7 @@ def _cmd_bwb0(args) -> tuple[dict, dict, list[str], int]:
             f"cohomology in degree {status.degree}, "
             f"highest weight {status.highest_weight.coords}",
         ]
-    return {"weight": list(coords), "N": n}, status.to_json(), text, EXIT_OK
+    return {"weight": lam.to_json(), "N": n}, status.to_json(), text, EXIT_OK
 
 
 def _cmd_grassmann_check(args) -> tuple[dict, dict, list[str], int]:
@@ -207,10 +203,13 @@ def _cmd_grassmann_check(args) -> tuple[dict, dict, list[str], int]:
 
 def _load_datum_spec(spec: dict, role: str) -> RootDatum:
     if "type" in spec:
-        return _resolve_datum(spec["type"], int(spec["n"]))
+        return make_datum(spec["type"], _json_int(spec["n"], f"{role} n"))
     try:
         positive = [
-            (tuple(entry["vector"]), tuple(entry["coroot"]))
+            (
+                _json_ints(entry["vector"], f"{role} root vector entry"),
+                _json_ints(entry["coroot"], f"{role} coroot entry"),
+            )
             for entry in spec["positive_roots"]
         ]
         simple = []
@@ -222,12 +221,16 @@ def _load_datum_spec(spec: dict, role: str) -> RootDatum:
                 )
             simple.append(positive[i][0])
         weyl = spec.get("weyl_vector")
+        if weyl is not None:
+            weyl = _json_ints(weyl, f"{role} weyl_vector entry")
         return custom_datum(
-            rank=int(spec["rank"]),
+            rank=_json_int(spec["rank"], f"{role} rank"),
             positive_pairs=positive,
             simple_coords=simple,
-            weyl_vector_coords=None if weyl is None else tuple(weyl),
-            pairing_denominator=int(spec.get("pairing_denominator", 1)),
+            weyl_vector_coords=weyl,
+            pairing_denominator=_json_int(
+                spec.get("pairing_denominator", 1), f"{role} pairing_denominator"
+            ),
             name=spec.get("name", f"custom-{role}"),
         )
     except (KeyError, TypeError) as exc:
@@ -264,7 +267,7 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
     try:
         source = _load_datum_spec(spec["source"], "source")
         target = _load_datum_spec(spec["target"], "target")
-        h = tuple(tuple(int(x) for x in row) for row in spec["h"])
+        h = tuple(_json_ints(row, "h entry") for row in spec["h"])
         d_spec = spec.get("d_map", "identity")
         if d_spec == "identity":
             if len(source.roots) != len(target.roots):
@@ -277,7 +280,7 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
             indices = _d_map_indices(d_spec, len(source.roots), len(target.roots))
             d_map = {a: target.roots[j] for a, j in zip(source.roots, indices)}
         q_spec = spec.get("q", 1)
-        if isinstance(q_spec, int):
+        if type(q_spec) is int:
             q = {a: q_spec for a in source.roots}
         else:
             if not isinstance(q_spec, list) or len(q_spec) != len(source.roots):
@@ -285,14 +288,16 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
                     f"q must be an integer or a list of {len(source.roots)} multipliers, "
                     "one per source root"
                 )
-            q = {a: int(v) for a, v in zip(source.roots, q_spec)}
+            q = dict(zip(source.roots, _json_ints(q_spec, "q entry")))
         ring = spec.get("ring_char", {"kind": "zero"})
         ring_char = {
             "zero": RingChar.zero,
-            "prime": lambda: RingChar.prime(int(ring["p"])),
-            "prime_power": lambda: RingChar.prime_power(int(ring["p"]), int(ring["n"])),
+            "prime": lambda: RingChar.prime(_json_int(ring["p"], "ring_char p")),
+            "prime_power": lambda: RingChar.prime_power(
+                _json_int(ring["p"], "ring_char p"), _json_int(ring["n"], "ring_char n")
+            ),
         }[ring["kind"]]()
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed morphism description in {args.file}: {exc}") from None
     verdict = validate_p_morphism(
         PMorphismData(source=source, target=target, h=h, d_map=d_map, q=q, ring_char=ring_char)
@@ -308,7 +313,7 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
 
 
 def _cmd_rigidity(args) -> tuple[dict, dict, list[str], int]:
-    datum = _resolve_datum(args.type, args.n)
+    datum = make_datum(args.type, args.n)
     ring_char = _parse_ring_spec(args.ring, args.p)
     verdict = frobenius_rigidity_verdict(datum, ring_char, p=args.p)
     text = [

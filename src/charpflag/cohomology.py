@@ -50,8 +50,12 @@ class DigitExpansion:
     prime: int
 
     def __post_init__(self):
-        assert self.digits and self.digits[-1] != 0
-        assert all(0 <= d < self.prime for d in self.digits)
+        if not self.digits or self.digits[-1] == 0 or any(
+            not 0 <= d < self.prime for d in self.digits
+        ):
+            raise InternalInconsistencyError(
+                f"{self.digits} is not a canonical base-{self.prime} digit expansion"
+            )
 
     def value(self) -> int:
         return sum(d * self.prime**j for j, d in enumerate(self.digits))
@@ -299,5 +303,8 @@ def weyl_dim(lam: Weight) -> int:
         num *= 2 * pairing(lam, beta) + b
         den *= b
     q, r = divmod(num, den)
-    assert r == 0, "Weyl dimension did not come out integral"
+    if r:
+        raise InternalInconsistencyError(
+            f"Weyl dimension {num}/{den} of {lam!r} did not come out integral"
+        )
     return q

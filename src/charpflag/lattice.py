@@ -49,6 +49,9 @@ from .errors import (
     UnsupportedDatumError,
 )
 
+# Rank bound for building a datum: a rank-n classical datum holds O(n^2) roots.
+MAX_RANK = 1024
+
 # Rank bound for enumerating the Weyl group: 2^8 8! = 10,321,920 elements.
 WEYL_GROUP_MAX_RANK = 8
 
@@ -150,10 +153,7 @@ class RootDatum:
 
     def _canonical(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical stored form of a coordinate vector, or raise."""
-        if len(coords) != self.rank:
-            raise LatticeMembershipError(
-                f"expected {self.rank} coordinates for {self.name}, got {len(coords)}"
-            )
+        _check_coords(coords, self.rank, self.name)
         if self.family == "SL":
             last = coords[-1]
             if last:
@@ -170,7 +170,7 @@ class RootDatum:
 
     def weight(self, coords: Iterable[int]) -> "Weight":
         """Build a Weight of this datum from raw coordinates."""
-        return Weight(tuple(int(c) for c in coords), self)
+        return Weight(coords, self)
 
     def zero(self) -> "Weight":
         return Weight((0,) * self.rank, self)
@@ -239,16 +239,15 @@ class Weight:
     """Integer vector in the character lattice of a datum's maximal torus.
 
     Value semantics: two weights are equal iff their datum handles and
-    stored coordinates agree.  Construction canonicalizes (SL) and
-    validates lattice membership (SO_odd parity).
+    stored coordinates agree.  Construction requires integer coordinates,
+    canonicalizes (SL) and validates lattice membership (SO_odd parity).
     """
 
     coords: tuple[int, ...]
     datum: RootDatum
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "coords", self.datum._canonical(coords))
+        object.__setattr__(self, "coords", self.datum._canonical(tuple(self.coords)))
 
     # The arithmetic below builds its results with ``_trusted_weight``,
     # skipping ``__post_init__``: sums, differences, negatives and integer
@@ -274,9 +273,9 @@ class Weight:
         return _trusted_weight(tuple(-a for a in self.coords), self.datum)
 
     def __mul__(self, k: int) -> "Weight":
-        if isinstance(k, int):
-            return _trusted_weight(tuple(k * a for a in self.coords), self.datum)
-        return Weight(tuple(k * a for a in self.coords), self.datum)
+        if not isinstance(k, int):
+            return NotImplemented
+        return _trusted_weight(tuple(k * a for a in self.coords), self.datum)
 
     __rmul__ = __mul__
 
@@ -321,6 +320,15 @@ def _dense(support: Support, rank: int) -> tuple[int, ...]:
     for i, c in support:
         out[i] = c
     return tuple(out)
+
+
+def _check_coords(coords: tuple, rank: int, name: str) -> None:
+    """Raise unless ``coords`` are ``rank`` integers, a point of Z^rank."""
+    if len(coords) != rank:
+        raise LatticeMembershipError(f"expected {rank} coordinates for {name}, got {len(coords)}")
+    for c in coords:
+        if type(c) is not int:
+            raise LatticeMembershipError(f"coordinate {c!r} for {name} is not an integer")
 
 
 class Root:
@@ -472,69 +480,45 @@ def identity_element(datum: RootDatum) -> WeylElement:
     return WeylElement(tuple(range(1, datum.rank + 1)), datum)
 
 
-def _transposition(datum: RootDatum, i: int, j: int) -> WeylElement:
-    imgs = list(range(1, datum.rank + 1))
-    imgs[i], imgs[j] = imgs[j], imgs[i]
-    return WeylElement(tuple(imgs), datum)
-
-
 def simple_reflection_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
-    """Weyl group generators matching ``datum.simple_roots`` in order."""
-    n = datum.rank
-    gens: list[WeylElement] = []
-    if datum.family in ("GL", "SL"):
-        gens = [_transposition(datum, k, k + 1) for k in range(n - 1)]
-    elif datum.family in ("Sp", "SO_odd"):
-        gens = [_transposition(datum, k, k + 1) for k in range(n - 1)]
-        flip = list(range(1, n + 1))
-        flip[n - 1] = -n
-        gens.append(WeylElement(tuple(flip), datum))
-    elif datum.family == "SO_even":
-        gens = [_transposition(datum, k, k + 1) for k in range(n - 1)]
-        last = list(range(1, n + 1))
-        last[n - 2], last[n - 1] = -n, -(n - 1)
-        gens.append(WeylElement(tuple(last), datum))
-    elif datum.family == "Torus":
-        gens = []
-    else:
-        # Custom data: derive each reflection matrix and require it to be a
-        # signed permutation of the stored coordinates.
-        for alpha in datum.simple_roots:
-            gens.append(_reflection_as_signed_permutation(datum, alpha))
-    for g, a in zip(gens, datum.simple_roots):
-        if g.apply(a.vector) != -a.vector:
+    """Weyl group generators matching ``datum.simple_roots`` in order.
+
+    Each is derived from its root's supports: s_alpha sends e_i to
+    e_i - (c_i/den) alpha for each coroot coordinate c_i, and must be a
+    signed permutation of the coordinates.  For SL, alpha is the zero-sum
+    lift, and ``apply`` restores the canonical last coordinate.
+    """
+    den = datum.pairing_denominator
+    gens = []
+    for alpha in datum.simple_roots:
+        columns = {}
+        for i, c in alpha.co_support:
+            column = {i: 1}
+            for j, a in alpha.support:
+                shift, r = divmod(c * a, den)
+                if r:
+                    raise NonSimpleRootError(
+                        f"reflection by {alpha.vector.coords} is not integral on {datum.name}"
+                    )
+                column[j] = column.get(j, 0) - shift
+            columns[i] = column
+        images = list(range(1, datum.rank + 1))
+        for i, column in columns.items():
+            nonzero = [(j, v) for j, v in column.items() if v]
+            if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+                raise NonSimpleRootError(
+                    f"reflection by {alpha.vector.coords} is not a signed permutation"
+                )
+            j, v = nonzero[0]
+            images[i] = (j + 1) * v
+        g = WeylElement(tuple(images), datum)
+        if g.apply(alpha.vector) != -alpha.vector:
             raise InternalInconsistencyError(
                 f"Weyl generator {g.images} does not negate the simple root "
-                f"{a.vector.coords} of {datum.name}"
+                f"{alpha.vector.coords} of {datum.name}"
             )
+        gens.append(g)
     return tuple(gens)
-
-
-def _reflection_as_signed_permutation(datum: RootDatum, alpha: Root) -> WeylElement:
-    n = datum.rank
-    den = datum.pairing_denominator
-    cols: list[tuple[int, ...]] = []
-    for i in range(n):
-        coeff = Fraction(alpha.coroot[i], den)
-        col = tuple(
-            (1 if j == i else 0) - coeff * alpha.vector.coords[j] for j in range(n)
-        )
-        if any(x.denominator != 1 for x in col):
-            raise NonSimpleRootError(
-                f"reflection by {alpha.vector.coords} is not integral on {datum.name}"
-            )
-        cols.append(tuple(int(x) for x in col))
-    imgs = []
-    for i in range(n):
-        col = cols[i]
-        nonzero = [(j, v) for j, v in enumerate(col) if v]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-            raise NonSimpleRootError(
-                f"reflection by {alpha.vector.coords} is not a signed permutation"
-            )
-        j, v = nonzero[0]
-        imgs.append((j + 1) * v)
-    return WeylElement(tuple(imgs), datum)
 
 
 def weyl_group(datum: RootDatum) -> frozenset[WeylElement]:
@@ -607,12 +591,16 @@ def make_datum(family: str, n: int) -> RootDatum:
     ``n`` is the rank of the character lattice: GL(n), SL(n), Sp(2n)
     [rank n], SO(2n+1) [rank n], SO(2n) [rank n], or a rank-n torus.
     """
-    return _build_datum(normalize_family(family), int(n))
+    family = normalize_family(family)
+    # Checked before the cache, where 2.0 would find the entry for 2.
+    if type(n) is not int:
+        raise RankRangeError(f"{family} rank must be an integer, got {n!r}")
+    return _build_datum(family, n)
 
 
 def make_torus(n: int) -> RootDatum:
     """A rank-n torus datum: empty root set."""
-    return _build_datum("Torus", int(n))
+    return make_datum("Torus", n)
 
 
 @lru_cache(maxsize=None)
@@ -622,6 +610,8 @@ def _build_datum(family: str, n: int) -> RootDatum:
             raise RankRangeError(f"{family} requires n >= 1, got {n}")
     elif n < 2:
         raise RankRangeError(f"{family} requires n >= 2, got {n}")
+    if n > MAX_RANK:
+        raise RankRangeError(f"{family} rank {n} exceeds the bound {MAX_RANK}")
 
     if family == "Torus":
         return RootDatum("Torus", n, [], [], (0,) * n, name=f"T({n})")
@@ -684,11 +674,8 @@ def custom_datum(
     """
 
     def support(coords: Iterable[int]) -> Support:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != rank:
-            raise LatticeMembershipError(
-                f"expected {rank} coordinates for {name}, got {len(coords)}"
-            )
+        coords = tuple(coords)
+        _check_coords(coords, rank, name)
         return tuple((i, c) for i, c in enumerate(coords) if c)
 
     return RootDatum(
@@ -700,42 +687,3 @@ def custom_datum(
         pairing_denominator=pairing_denominator,
         name=name,
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact decomposition in the simple-root basis (used by invariant checks)
-
-
-def simple_root_coefficients(datum: RootDatum, beta: Root) -> tuple[Fraction, ...]:
-    """Coefficients of ``beta`` in the simple-root basis, exactly."""
-    simples = datum.simple_roots
-    m = len(simples)
-    # Solve sum_k x_k * simple_k = beta by Gaussian elimination over Q.
-    rows = [
-        [Fraction(simples[k].vector.coords[i]) for k in range(m)]
-        + [Fraction(beta.vector.coords[i])]
-        for i in range(datum.rank)
-    ]
-    col = 0
-    pivots = []
-    for k in range(m):
-        piv = next((r for r in range(col, len(rows)) if rows[r][k]), None)
-        if piv is None:
-            continue
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rows[col] = [x / rows[col][k] for x in rows[col]]
-        for r in range(len(rows)):
-            if r != col and rows[r][k]:
-                factor = rows[r][k]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-        pivots.append(k)
-        col += 1
-    coeffs = [Fraction(0)] * m
-    for idx, k in enumerate(pivots):
-        coeffs[k] = rows[idx][m]
-    for r in range(col, len(rows)):
-        if rows[r][m]:
-            raise LatticeMembershipError(
-                f"{beta.vector.coords} is not in the span of the simple roots"
-            )
-    return tuple(coeffs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .arith import is_prime, prime_power_base
-from .errors import DimensionMismatchError, NotPrimeError
+from .errors import DimensionMismatchError, InternalInconsistencyError, NotPrimeError
 from .lattice import Root, RootDatum
 
 
@@ -101,7 +101,10 @@ class MorphismVerdict:
     failures: tuple[MorphismFailure, ...] = ()
 
     def __post_init__(self):
-        assert self.valid == (not self.failures)
+        if self.valid != (not self.failures):
+            raise InternalInconsistencyError(
+                f"verdict valid={self.valid} with {len(self.failures)} failures"
+            )
 
     def to_json(self) -> dict:
         return {"valid": self.valid, "failures": [f.to_json() for f in self.failures]}
@@ -243,12 +246,14 @@ def frobenius_rigidity_verdict(
     satisfies both lattice relations on every root, so the verdict is
     ``q_admissible(p, ring_char)``.  A toral datum (no roots) carries no
     multiplier constraint: the multiplication-by-p endomorphism lifts
-    Frobenius over every base.
+    Frobenius over every base.  A given ``p`` must be prime for every datum.
     """
     if ring_char.p is not None:
         if p is not None and p != ring_char.p:
             raise ValueError(f"residue prime {p} conflicts with ring {ring_char.describe()}")
         p = ring_char.p
+    if p is not None and not is_prime(p):
+        raise NotPrimeError(f"Frobenius multiplier {p} is not prime")
     if not datum.roots:
         return RigidityVerdict(
             lift_possible=True,
@@ -256,8 +261,6 @@ def frobenius_rigidity_verdict(
         )
     if p is None:
         raise ValueError("residue prime p required for a characteristic-zero base")
-    if not is_prime(p):
-        raise NotPrimeError(f"Frobenius multiplier {p} is not prime")
     if q_admissible(p, ring_char):
         return RigidityVerdict(lift_possible=True)
     return RigidityVerdict(

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charpflag import (
+    DatumMismatchError,
     EquivariantBundleWeights,
     NotPrimeError,
     RankRangeError,
@@ -120,3 +121,11 @@ def test_bundle_json_schema():
         [0, 0, 0, 0],
         [5, -5, 0, 0],
     ]
+
+
+def test_a_bundle_cannot_mix_data():
+    gl3, gl4 = make_datum("GL", 3), make_datum("GL", 4)
+    with pytest.raises(DatumMismatchError, match="not a weight of GL\\(3\\)"):
+        EquivariantBundleWeights(
+            datum=gl3, weights=(gl3.zero(), gl4.zero()), label="mixed"
+        )

@@ -189,6 +189,17 @@ def test_rigidity_rejects_a_composite_p(capsys, ring, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("p", ["4", "1", "-3"])
+@pytest.mark.parametrize("family,n", [("torus", "3"), ("GL", "1"), ("GL", "3")])
+def test_rigidity_rejects_a_non_prime_p_on_toral_data_too(capsys, family, n, p):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", family, "--n", n, "--ring", "0", "--p", p
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: Frobenius multiplier {p} is not prime\n"
+
+
 def test_rigidity_ring_p_conflict(capsys):
     code, _, err = run_cli(
         capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "25", "--p", "7"
@@ -324,6 +335,64 @@ def test_isogeny_check_rejects_a_negative_simple_index(capsys, tmp_path):
     code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
     assert code == 1
     assert err == "usage error: source simple_indices entry -1 is not a positive-root index in 0..1\n"
+
+
+_CUSTOM_SL2 = {
+    "rank": 1,
+    "positive_roots": [{"vector": [2], "coroot": [1]}],
+    "simple_indices": [0],
+    "weyl_vector": [1],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides,what",
+    [
+        ({"source": {"type": "GL", "n": 2.7}}, "source n"),
+        ({"h": [[5.9, 0, 0], [0, 5.2, 0], [0, 0, 5]]}, "h entry"),
+        ({"q": [1, 1, 1, 1, 1, 1.0]}, "q entry"),
+        ({"ring_char": {"kind": "prime", "p": 5.5}}, "ring_char p"),
+        ({"ring_char": {"kind": "prime_power", "p": 5, "n": 2.0}}, "ring_char n"),
+        ({"source": dict(_CUSTOM_SL2, rank=1.0)}, "source rank"),
+        (
+            {"source": dict(_CUSTOM_SL2, positive_roots=[{"vector": [2.0], "coroot": [1]}])},
+            "source root vector entry",
+        ),
+        (
+            {"target": dict(_CUSTOM_SL2, positive_roots=[{"vector": [2], "coroot": [True]}])},
+            "target coroot entry",
+        ),
+        ({"source": dict(_CUSTOM_SL2, weyl_vector=[1.5])}, "source weyl_vector entry"),
+        ({"source": dict(_CUSTOM_SL2, pairing_denominator=1.0)}, "source pairing_denominator"),
+    ],
+    ids=["n", "h", "q", "p", "exponent", "rank", "vector", "coroot", "weyl", "denominator"],
+)
+def test_isogeny_check_rejects_non_integer_numbers(capsys, tmp_path, overrides, what):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(**overrides))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: {what} must be an integer, got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grassmann-check", "--d", "2", "--N", "1000000", "--p", "5"],
+        ["h1", "--weight", ",".join(["0"] * 1025), "--p", "5"],
+        ["bwb0", "--weight", ",".join(["0"] * 1025)],
+        ["rigidity", "--type", "SO_even", "--n", "1000000", "--ring", "0", "--p", "5"],
+        ["roots", "--type", "Sp", "--n", "65"],
+    ],
+    ids=["grassmann-check", "h1", "bwb0", "rigidity", "roots"],
+)
+def test_ranks_are_bounded(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "exceeds the bound" in err
 
 
 def test_invalid_custom_datum_fails_cleanly_under_optimize(tmp_path):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpflag import (
+    DigitExpansion,
     FiltrationH1,
+    InternalInconsistencyError,
     NotPrimeError,
     UnsupportedDatumError,
     andersen_h1,
@@ -20,6 +22,7 @@ from charpflag import (
     tautological_weights,
     weyl_dim,
 )
+from charpflag import cohomology
 from charpflag.cohomology import aggregate_h1_statuses
 
 from conftest import datum_weights
@@ -35,6 +38,12 @@ def test_digit_examples():
     assert base_p_digits(8, 5).digits == (3, 1)  # 2p - 2 = p + (p - 2)
     assert base_p_digits(3, 5).digits == (3,)  # p - 2
     assert base_p_digits(24, 5).digits == (4, 4)
+
+
+@pytest.mark.parametrize("digits", [(), (3, 0), (5,), (-1, 2)])
+def test_digit_expansion_checks_its_digits_at_runtime(digits):
+    with pytest.raises(InternalInconsistencyError, match="digit expansion"):
+        DigitExpansion(digits, 5)
 
 
 def test_digit_errors():
@@ -273,3 +282,11 @@ def test_h1_status_json_schema():
     assert undet["status"] == "undetermined"
     assert undet["highest_weight"] is None
     assert undet["undetermined_reason"]
+
+
+def test_weyl_dim_checks_integrality_at_runtime(monkeypatch):
+    real_pairing = cohomology.pairing
+    monkeypatch.setattr(cohomology, "pairing", lambda w, a: real_pairing(w, a) + 1)
+    # (2 * 2 + 3) / 3 is not an integer.
+    with pytest.raises(InternalInconsistencyError, match="7/3"):
+        weyl_dim(make_datum("GL", 2).weight((1, 0)))

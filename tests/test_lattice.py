@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from charpflag import (
     LatticeMembershipError,
     NonSimpleRootError,
     RankRangeError,
+    Weight,
     custom_datum,
     dot_reflect,
     is_dominant,
@@ -17,11 +19,10 @@ from charpflag import (
     make_torus,
     pairing,
     reflect,
-    simple_root_coefficients,
     weyl_group,
     weyl_group_order,
 )
-from charpflag.lattice import identity_element, simple_reflection_elements
+from charpflag.lattice import MAX_RANK, identity_element, simple_reflection_elements
 
 from conftest import CLASSICAL_FAMILIES, FAMILY_MIN_RANK, datum_weights, weight_root_pairs
 
@@ -84,6 +85,24 @@ def test_rank_range_errors():
 def test_make_datum_returns_same_handle():
     assert make_datum("GL", 4) is make_datum("gl", 4)
     assert make_datum("SO_odd", 3) is make_datum("so-odd", 3)
+    assert make_torus(3) is make_datum("torus", 3)
+
+
+def test_non_integer_ranks_are_rejected():
+    make_datum("GL", 2)  # a cached GL(2) must not answer for 2.0
+    for n in (2.9, 2.0, "2", True):
+        with pytest.raises(RankRangeError, match="must be an integer"):
+            make_datum("GL", n)
+    with pytest.raises(RankRangeError, match="must be an integer"):
+        make_torus(2.0)
+
+
+def test_datum_rank_is_bounded():
+    assert MAX_RANK == 1024
+    assert make_torus(MAX_RANK).rank == MAX_RANK
+    for family in (*CLASSICAL_FAMILIES, "torus"):
+        with pytest.raises(RankRangeError, match="exceeds the bound 1024"):
+            make_datum(family, MAX_RANK + 1)
 
 
 def test_weight_value_semantics():
@@ -93,6 +112,29 @@ def test_weight_value_semantics():
     other = make_datum("GL", 4)
     with pytest.raises(DatumMismatchError):
         d.weight((1, 0, -1)) + other.weight((1, 0, 0, 0))
+
+
+def test_non_integer_coordinates_are_rejected():
+    gl2 = make_datum("GL", 2)
+    for coords in ((1.5, -0.7), (2.0, 0), (Fraction(1), 0), (True, 0)):
+        with pytest.raises(LatticeMembershipError, match="is not an integer"):
+            gl2.weight(coords)
+        with pytest.raises(LatticeMembershipError, match="is not an integer"):
+            Weight(coords, gl2)
+    with pytest.raises(LatticeMembershipError, match="is not an integer"):
+        custom_datum(1, [((2.0,), (1,))], [(2,)])
+    with pytest.raises(LatticeMembershipError, match="is not an integer"):
+        custom_datum(1, [((2,), (1,))], [(2,)], weyl_vector_coords=(0.5,))
+
+
+def test_weights_multiply_by_integers_only():
+    w = make_datum("GL", 2).weight((1, 0))
+    assert (3 * w).coords == (w * 3).coords == (3, 0)
+    for k in (Fraction(1, 2), 0.5, 2.0):
+        with pytest.raises(TypeError):
+            w * k
+        with pytest.raises(TypeError):
+            k * w
 
 
 def test_sl_weights_are_canonicalized_mod_all_ones():
@@ -126,14 +168,6 @@ def test_root_pairing_normalization():
     for datum in _all_small_datums(max_rank=5):
         for alpha in datum.roots:
             assert pairing(alpha.vector, alpha) == 2
-
-
-def test_positive_root_decomposition_uniform_sign():
-    for datum in _all_small_datums(max_rank=5):
-        for beta in datum.roots:
-            coeffs = simple_root_coefficients(datum, beta)
-            assert all(c.denominator == 1 for c in coeffs), (datum.name, beta)
-            assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs), (datum.name, beta)
 
 
 @pytest.mark.parametrize(
@@ -315,6 +349,20 @@ def test_generators_match_simple_reflections():
                     coords = tuple(2 * c for c in coords)
                 w = datum.weight(coords)
                 assert g.apply(w) == reflect(w, alpha), (datum.name, alpha)
+
+
+@pytest.mark.parametrize(
+    "root,coroot,denominator,what",
+    [
+        ((1, 2), (2, 2), 3, "reflection by (1, 2) is not integral on custom"),
+        ((2, 1), (1, 0), 1, "reflection by (2, 1) is not a signed permutation"),
+    ],
+    ids=["not_integral", "not_a_signed_permutation"],
+)
+def test_custom_reflections_must_be_integral_signed_permutations(root, coroot, denominator, what):
+    datum = custom_datum(2, [(root, coroot)], [root], pairing_denominator=denominator)
+    with pytest.raises(NonSimpleRootError, match=re.escape(what)):
+        simple_reflection_elements(datum)
 
 
 def test_composition_against_identity():

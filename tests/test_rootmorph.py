@@ -4,6 +4,9 @@ from hypothesis import strategies as st
 
 from charpflag import (
     DimensionMismatchError,
+    InternalInconsistencyError,
+    MorphismVerdict,
+    NotPrimeError,
     UnsupportedDatumError,
     PMorphismData,
     RingChar,
@@ -17,7 +20,7 @@ from charpflag import (
     weyl_group,
     weyl_group_order,
 )
-from charpflag.rootmorph import q_admissible
+from charpflag.rootmorph import MorphismFailure, q_admissible
 
 RINGS = (RingChar.zero(), RingChar.prime(5), RingChar.prime_power(5, 2))
 
@@ -162,6 +165,23 @@ def test_rigidity_toral_data_lift():
         assert "toral" in verdict.note
     # GL(1) is a torus too
     assert frobenius_rigidity_verdict(make_datum("GL", 1), RingChar.zero(), p=5).lift_possible
+
+
+@pytest.mark.parametrize("p", (4, 1, -3))
+@pytest.mark.parametrize("datum", (make_torus(3), make_datum("GL", 1), make_datum("GL", 3)))
+def test_rigidity_rejects_a_non_prime_p_on_every_datum(datum, p):
+    # The toral short-circuit must not skip the primality check.
+    with pytest.raises(NotPrimeError, match=f"Frobenius multiplier {p} is not prime"):
+        frobenius_rigidity_verdict(datum, RingChar.zero(), p=p)
+
+
+def test_morphism_verdict_checks_its_failures_at_runtime():
+    gl2 = make_datum("GL", 2)
+    failure = MorphismFailure("q_positive", gl2.roots[0], "q = 0 must be a positive integer")
+    with pytest.raises(InternalInconsistencyError):
+        MorphismVerdict(valid=True, failures=(failure,))
+    with pytest.raises(InternalInconsistencyError):
+        MorphismVerdict(valid=False)
 
 
 def test_rigidity_zero_ring_needs_a_residue_prime():
