@@ -26,9 +26,9 @@ by a central (Weyl-invariant) shift, so it induces the same shifted
 reflections.
 
 All types in this module are immutable values (a ``Root`` fills its
-dense views once, on first access, with equal values whichever thread
-gets there first) and all operations are pure, so everything here is
-safe to call concurrently.
+dense views, and a ``RootDatum`` its checked root list, once, on first
+access, with equal values whichever thread gets there first) and all
+operations are pure, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     CharpFlagError,
@@ -49,7 +49,8 @@ from .errors import (
     UnsupportedDatumError,
 )
 
-# Rank bound for building a datum: a rank-n classical datum holds O(n^2) roots.
+# Rank bound for building a datum.  The root list of a rank-n classical
+# datum, built on first access, holds O(n^2) roots.
 MAX_RANK = 1024
 
 # Rank bound for enumerating the Weyl group: 2^8 8! = 10,321,920 elements.
@@ -79,30 +80,34 @@ def normalize_family(family: str) -> str:
 
 
 class RootDatum:
-    """A root datum: lattice rank, roots with coroots, simple roots, Weyl vector.
+    """A root datum: lattice rank, simple roots, Weyl vector, roots with coroots.
 
-    Roots are stored sparsely (see ``Root``), so building a classical datum
-    of rank n costs O(n^2) time and memory.  Instances compare by identity;
-    ``make_datum`` caches construction so repeated calls with the same
-    arguments return the same handle.
+    Roots are stored sparsely (see ``Root``).  A datum is built from its
+    simple roots, each with its coroot, and its Weyl vector, which the
+    constructor checks in O(rank).  The full root list comes from the
+    datum's support generator on first access to ``roots`` or
+    ``positive_roots``, and is published only after ``_sanity_check`` has
+    passed on it, so every root a caller sees has been checked.  A
+    certificate on GL(N) reads only the N-1 simple roots and never builds
+    the N(N-1) others.  Instances compare by identity; ``make_datum``
+    caches construction so repeated calls with the same arguments return
+    the same handle.
     """
 
     __slots__ = (
         "family",
         "rank",
-        "roots",
-        "positive_roots",
         "simple_roots",
         "weyl_vector",
         "pairing_denominator",
         "name",
         "_simple_set",
+        "_root_supports",
+        "_root_lists",
     )
 
     family: str
     rank: int
-    roots: "tuple[Root, ...]"
-    positive_roots: "tuple[Root, ...]"
     simple_roots: "tuple[Root, ...]"
     weyl_vector: "Optional[Weight]"
     pairing_denominator: int
@@ -112,9 +117,9 @@ class RootDatum:
         self,
         family: str,
         rank: int,
-        positive_supports: Iterable[tuple[Support, Support]],
-        simple_supports: Iterable[Support],
+        simple_pairs: Iterable[RootPair],
         weyl_vector_coords: Optional[tuple[int, ...]],
+        root_supports: Callable[[], tuple[list[RootPair], Iterable[RootPair]]],
         pairing_denominator: int = 1,
         name: Optional[str] = None,
     ):
@@ -124,30 +129,35 @@ class RootDatum:
         self.name = name if name is not None else family
         if pairing_denominator < 1:
             raise self._invalid(f"pairing denominator must be >= 1, got {pairing_denominator}")
-        positives = []
-        negatives = []
-        for sup, co in positive_supports:
-            positives.append(Root(self, sup, co))
-            neg = _negated(sup)
-            negatives.append(Root(self, neg, neg if co is sup else _negated(co)))
-        self.positive_roots = tuple(positives)
-        self.roots = self.positive_roots + tuple(negatives)
-        index = {r.support: k for k, r in enumerate(self.roots)}
-        simples = []
-        for sup in simple_supports:
-            k = index.get(sup)
-            if k is None or k >= len(positives):
-                raise self._invalid(
-                    f"simple root {_dense(sup, rank)} is not a positive root of {self.name}"
-                )
-            simples.append(self.roots[k])
-        self.simple_roots = tuple(simples)
-        self._simple_set = frozenset(simples)
+        self._root_supports = root_supports
+        self._root_lists = None
+        self.simple_roots = tuple(Root(self, sup, co) for sup, co in simple_pairs)
+        self._simple_set = frozenset(self.simple_roots)
         if weyl_vector_coords is None:
             self.weyl_vector = None
         else:
             self.weyl_vector = Weight(tuple(weyl_vector_coords), self)
-        self._sanity_check(index)
+        self._check_roots(self.simple_roots)
+        if self.weyl_vector is not None:
+            rho = self.weyl_vector.coords
+            for a in self.simple_roots:
+                num = sum(rho[i] * c for i, c in a.co_support)
+                if num != self.pairing_denominator:
+                    raise self._invalid(
+                        f"Weyl vector pairs to {Fraction(num, self.pairing_denominator)} "
+                        f"!= 1 with simple root {a.vector.coords}"
+                    )
+
+    @property
+    def positive_roots(self) -> "tuple[Root, ...]":
+        lists = self._root_lists
+        return (self._materialize() if lists is None else lists)[0]
+
+    @property
+    def roots(self) -> "tuple[Root, ...]":
+        """The positive roots, then their negatives in the same order."""
+        lists = self._root_lists
+        return (self._materialize() if lists is None else lists)[1]
 
     # -- lattice membership ------------------------------------------------
 
@@ -194,38 +204,61 @@ class RootDatum:
             return InvalidRootDatumError(f"{self.name}: {message}")
         return InternalInconsistencyError(f"{self.name}: {message}")
 
-    def _sanity_check(self, index: dict) -> None:
-        """Check the root-datum axioms on the supports, in O(#roots)."""
-        if len(index) != len(self.roots):
-            raise self._invalid("duplicate roots")
+    def _check_roots(self, roots: "Sequence[Root]") -> None:
+        """Check <alpha, alpha^vee> = 2 and lattice membership of each root."""
         two = 2 * self.pairing_denominator
-        for r in self.roots:
+        for r in roots:
             if _sparse_dot(r.support, r.co_support) != two:
                 raise self._invalid(f"<alpha, alpha^vee> != 2 for {r!r}")
-            if _negated(r.support) not in index:
-                raise self._invalid(f"root set not closed under negation at {r!r}")
-            if self.family == "SL" and (
-                sum(c for _, c in r.support) or sum(c for _, c in r.co_support)
-            ):
-                # The zero-sum lift is unique in its class mod the all-ones
-                # vector, so supports then identify roots; zero-sum coroots
-                # make pairings independent of the representative.
-                raise self._invalid(f"root or coroot with nonzero coordinate sum at {r!r}")
-            if self.family == "SO_odd":
+        if self.family == "SL":
+            # The zero-sum lift is unique in its class mod the all-ones
+            # vector, so supports then identify roots; zero-sum coroots
+            # make pairings independent of the representative.
+            for r in roots:
+                if sum(c for _, c in r.support) or sum(c for _, c in r.co_support):
+                    raise self._invalid(f"root or coroot with nonzero coordinate sum at {r!r}")
+        elif self.family == "SO_odd":
+            for r in roots:
                 parities = {c & 1 for _, c in r.support}
                 if len(r.support) < self.rank:
                     parities.add(0)
                 if len(parities) > 1:
-                    raise self._invalid(f"root {r!r} is not in the lattice")
-        if self.weyl_vector is not None:
-            rho = self.weyl_vector.coords
-            for a in self.simple_roots:
-                num = sum(rho[i] * c for i, c in a.co_support)
-                if num != self.pairing_denominator:
                     raise self._invalid(
-                        f"Weyl vector pairs to {Fraction(num, self.pairing_denominator)} "
-                        f"!= 1 with simple root {a.vector.coords}"
+                        f"root {_dense(r.support, self.rank)} is not in the lattice"
                     )
+
+    def _materialize(self) -> "tuple[tuple[Root, ...], tuple[Root, ...]]":
+        """Generate, check and publish (positive roots, roots).
+
+        The lists are published in one assignment after every check has
+        passed; threads racing here build equal values.
+        """
+        positive_pairs, negative_pairs = self._root_supports()
+        roots = [Root(self, sup, co) for sup, co in positive_pairs]
+        n_positive = len(roots)
+        roots += [Root(self, sup, co) for sup, co in negative_pairs]
+        index = {r.support: k for k, r in enumerate(roots)}
+        for a in self.simple_roots:
+            k = index.get(a.support)
+            if k is None or k >= n_positive or roots[k] != a:
+                raise self._invalid(
+                    f"simple root {_dense(a.support, self.rank)} is not a positive root of "
+                    f"{self.name}"
+                )
+            roots[k] = a  # one object per simple root, with its dense views
+        self._sanity_check(roots, index)
+        lists = (tuple(roots[:n_positive]), tuple(roots))
+        self._root_lists = lists
+        return lists
+
+    def _sanity_check(self, roots: "list[Root]", index: dict) -> None:
+        """Check the root-datum axioms on the supports, in O(#roots)."""
+        if len(index) != len(roots):
+            raise self._invalid("duplicate roots")
+        self._check_roots(roots)
+        for r in roots:
+            if _negated(r.support) not in index:
+                raise self._invalid(f"root set not closed under negation at {r!r}")
 
     def to_json(self) -> dict:
         return {"type": self.family, "n": self.rank}
@@ -304,6 +337,9 @@ def _trusted_weight(coords: tuple[int, ...], datum: RootDatum) -> Weight:
 # A sparse vector: its nonzero coordinates as (index, value) pairs, in
 # increasing index order.
 Support = tuple[tuple[int, int], ...]
+
+# A root's support with its coroot's support.
+RootPair = tuple[Support, Support]
 
 
 def _negated(support: Support) -> Support:
@@ -593,14 +629,18 @@ def make_datum(family: str, n: int) -> RootDatum:
     """
     family = normalize_family(family)
     # Checked before the cache, where 2.0 would find the entry for 2.
-    if type(n) is not int:
-        raise RankRangeError(f"{family} rank must be an integer, got {n!r}")
+    _check_rank(n, family)
     return _build_datum(family, n)
 
 
 def make_torus(n: int) -> RootDatum:
     """A rank-n torus datum: empty root set."""
     return make_datum("Torus", n)
+
+
+def _check_rank(rank, label: str) -> None:
+    if type(rank) is not int:
+        raise RankRangeError(f"{label} rank must be an integer, got {rank!r}")
 
 
 @lru_cache(maxsize=None)
@@ -613,10 +653,8 @@ def _build_datum(family: str, n: int) -> RootDatum:
     if n > MAX_RANK:
         raise RankRangeError(f"{family} rank {n} exceeds the bound {MAX_RANK}")
 
-    if family == "Torus":
-        return RootDatum("Torus", n, [], [], (0,) * n, name=f"T({n})")
-
-    # Supports of l_i - l_j and l_i + l_j (i < j), scaled by s.
+    # Supports of l_i - l_j and l_i + l_j (i < j), of l_i, and of the
+    # simple l_k - l_{k+1}, scaled by s.
     def minus(s: int) -> list[Support]:
         return [((i, s), (j, -s)) for i in range(n) for j in range(i + 1, n)]
 
@@ -626,34 +664,58 @@ def _build_datum(family: str, n: int) -> RootDatum:
     def single(s: int) -> list[Support]:
         return [((i, s),) for i in range(n)]
 
-    def same(supports: list[Support]) -> list[tuple[Support, Support]]:
+    def chain(s: int) -> list[Support]:
+        return [((k, s), (k + 1, -s)) for k in range(n - 1)]
+
+    def same(supports: list[Support]) -> list[RootPair]:
         return [(sup, sup) for sup in supports]
 
-    chain = [((k, 1), (k + 1, -1)) for k in range(n - 1)]
-    if family in ("GL", "SL"):
-        rho = tuple(range(n - 1, -1, -1))
-        return RootDatum(family, n, same(minus(1)), chain, rho, name=f"{family}({n})")
-
-    if family == "Sp":
-        positives = same(minus(1)) + same(plus(1)) + list(zip(single(2), single(1)))
-        rho = tuple(range(n, 0, -1))
-        return RootDatum("Sp", n, positives, chain + [((n - 1, 2),)], rho, name=f"Sp({2 * n})")
-
-    if family == "SO_even":
-        positives = same(minus(1)) + same(plus(1))
-        simples = chain + [((n - 2, 1), (n - 1, 1))]
-        rho = tuple(range(n - 1, -1, -1))
-        return RootDatum("SO_even", n, positives, simples, rho, name=f"SO({2 * n})")
-
-    assert family == "SO_odd"
-    # Spin weight lattice, half-character units: every plain vector below is
-    # doubled; short coroots stay doubled, long coroots are the plain e_i-e_j.
-    positives = list(zip(minus(2), minus(1))) + list(zip(plus(2), plus(1))) + same(single(2))
-    simples = [((k, 2), (k + 1, -2)) for k in range(n - 1)] + [((n - 1, 2),)]
-    rho = tuple(2 * (n - i) - 1 for i in range(n))
+    # Each family gives its simple (root, coroot) pairs, its Weyl vector
+    # and a generator of its positive pairs, which the datum calls on
+    # first access to its root list.
+    den, name = 1, f"{family}({n})"
+    if family == "Torus":
+        simples, rho, positives, name = [], (0,) * n, lambda: [], f"T({n})"
+    elif family in ("GL", "SL"):
+        simples, rho = same(chain(1)), tuple(range(n - 1, -1, -1))
+        positives = lambda: same(minus(1))
+    elif family == "Sp":
+        simples, rho = same(chain(1)) + [(((n - 1, 2),), ((n - 1, 1),))], tuple(range(n, 0, -1))
+        positives = lambda: same(minus(1)) + same(plus(1)) + list(zip(single(2), single(1)))
+        name = f"Sp({2 * n})"
+    elif family == "SO_even":
+        simples, rho = same(chain(1) + [((n - 2, 1), (n - 1, 1))]), tuple(range(n - 1, -1, -1))
+        positives = lambda: same(minus(1)) + same(plus(1))
+        name = f"SO({2 * n})"
+    elif family == "SO_odd":
+        # Spin weight lattice, half-character units: every plain vector
+        # is doubled; short coroots stay doubled, long coroots are the
+        # plain e_i -+ e_j.
+        simples = list(zip(chain(2), chain(1))) + same([((n - 1, 2),)])
+        rho = tuple(2 * (n - i) - 1 for i in range(n))
+        positives = lambda: (
+            list(zip(minus(2), minus(1))) + list(zip(plus(2), plus(1))) + same(single(2))
+        )
+        den, name = 2, f"SO({2 * n + 1})"
     return RootDatum(
-        "SO_odd", n, positives, simples, rho, pairing_denominator=2, name=f"SO({2 * n + 1})"
+        family,
+        n,
+        simples,
+        rho,
+        lambda: _with_negatives(positives()),
+        pairing_denominator=den,
+        name=name,
     )
+
+
+def _with_negatives(positives: list[RootPair]) -> tuple[list[RootPair], Iterable[RootPair]]:
+    """(positives, negatives): the negation of each positive pair, in order."""
+
+    def negated(sup: Support, co: Support) -> RootPair:
+        neg = _negated(sup)
+        return neg, neg if co is sup else _negated(co)
+
+    return positives, (negated(sup, co) for sup, co in positives)
 
 
 def custom_datum(
@@ -669,21 +731,36 @@ def custom_datum(
     ``positive_pairs`` lists the positive roots as (vector, coroot);
     negatives are filled in automatically.  ``weyl_vector_coords`` may be
     omitted for lattices that contain no vector pairing to 1 with every
-    simple coroot (adjoint data).  Data violating the root-datum axioms
-    raise ``InvalidRootDatumError``.
+    simple coroot (adjoint data).  The data come from the caller, so the
+    root list is built and checked here: data violating the root-datum
+    axioms raise ``InvalidRootDatumError``, a rank that is not an ``int``
+    ``RankRangeError``.
     """
+    _check_rank(rank, name)
 
     def support(coords: Iterable[int]) -> Support:
         coords = tuple(coords)
         _check_coords(coords, rank, name)
         return tuple((i, c) for i, c in enumerate(coords) if c)
 
-    return RootDatum(
+    positives = [(support(vec), support(cov)) for vec, cov in positive_pairs]
+    coroot_of = dict(positives)
+    simples = []
+    for coords in simple_coords:
+        sup = support(coords)
+        if sup not in coroot_of:
+            raise InvalidRootDatumError(
+                f"{name}: simple root {_dense(sup, rank)} is not a positive root of {name}"
+            )
+        simples.append((sup, coroot_of[sup]))
+    datum = RootDatum(
         "custom",
         rank,
-        [(support(vec), support(cov)) for vec, cov in positive_pairs],
-        [support(c) for c in simple_coords],
+        simples,
         weyl_vector_coords,
+        lambda: _with_negatives(positives),
         pairing_denominator=pairing_denominator,
         name=name,
     )
+    datum._materialize()
+    return datum

@@ -20,6 +20,7 @@ from charpflag import (
     make_datum,
     pairing,
 )
+from charpflag.lattice import MAX_RANK
 from charpflag.certificate import (
     CASE_ADJACENT,
     CASE_DIAGONAL,
@@ -141,6 +142,16 @@ def test_certificate_d3():
     assert tags.count(CASE_UPPER_FAR) == 3
     assert tags.count(CASE_ADJACENT) == 2
     assert tags.count(CASE_LOWER_FAR) == 1
+
+
+def test_certificate_at_the_rank_bound_reads_only_simple_roots():
+    cert = check_equivariant_smoothness(2, MAX_RANK, 5)
+    assert cert.final_verdict == VERDICT_NO_LIFT
+    datum = make_datum("GL", MAX_RANK)
+    assert cert.rows[0].weight.datum is datum
+    # The N - 1 simple roots are built; the N(N - 1) roots are not.
+    assert len(datum.simple_roots) == MAX_RANK - 1
+    assert datum._root_lists is None
 
 
 def test_certificate_rejects_bad_parameters():

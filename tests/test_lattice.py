@@ -7,6 +7,7 @@ from hypothesis import given
 
 from charpflag import (
     DatumMismatchError,
+    InternalInconsistencyError,
     InvalidRootDatumError,
     LatticeMembershipError,
     NonSimpleRootError,
@@ -22,6 +23,7 @@ from charpflag import (
     weyl_group,
     weyl_group_order,
 )
+from charpflag import lattice
 from charpflag.lattice import MAX_RANK, identity_element, simple_reflection_elements
 
 from conftest import CLASSICAL_FAMILIES, FAMILY_MIN_RANK, datum_weights, weight_root_pairs
@@ -177,12 +179,102 @@ def test_root_pairing_normalization():
         ([((2,), (1,)), ((2,), (1,))], [(2,)], None, "duplicate roots"),
         ([((2,), (1,))], [(4,)], None, "is not a positive root"),
         ([((2,), (1,))], [(2,)], (2,), "Weyl vector pairs to 2"),
+        # Not a simple root: only the full root list shows it, which a
+        # custom datum builds and checks when it is built.
+        ([((2,), (1,)), ((1,), (1,))], [(2,)], (1,), "<alpha, alpha^vee> != 2 for Root((1,)"),
     ],
-    ids=["pairing_one", "duplicate", "simple_not_positive", "weyl_vector"],
+    ids=["pairing_one", "duplicate", "simple_not_positive", "weyl_vector", "non_simple"],
 )
 def test_invalid_custom_data_raise_a_typed_input_error(positive, simple, weyl, what):
     with pytest.raises(InvalidRootDatumError, match=re.escape(what)):
         custom_datum(1, positive, simple, weyl_vector_coords=weyl)
+
+
+def test_custom_datum_rank_must_be_an_integer():
+    for rank in (1.0, 1.5, "1", True):
+        with pytest.raises(RankRangeError, match="rank must be an integer"):
+            custom_datum(rank, [((2,), (1,))], [(2,)], weyl_vector_coords=(1,))
+    assert custom_datum(1, [((2,), (1,))], [(2,)], weyl_vector_coords=(1,)).zero().coords == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Root lists: built and checked on first access
+
+
+def _fresh_datum(family, n):
+    """A datum outside make_datum's cache, so a test may corrupt it."""
+    return lattice._build_datum.__wrapped__(lattice.normalize_family(family), n)
+
+
+def test_root_lists_are_built_on_first_access():
+    for family in CLASSICAL_FAMILIES:
+        datum = _fresh_datum(family, 5)
+        assert datum._root_lists is None
+        assert is_dominant(datum.weyl_vector)
+        assert datum._root_lists is None
+        roots = datum.roots
+        assert datum._root_lists is not None
+        assert datum.roots is roots and datum.positive_roots == roots[: len(roots) // 2]
+        # The list shares the simple roots' objects, with their dense views.
+        for alpha in datum.simple_roots:
+            assert any(beta is alpha for beta in datum.positive_roots)
+
+
+def _drop_last_negative(positives, negatives):
+    return positives, list(negatives)[:-1]
+
+
+def _drop_first_simple(positives, negatives):
+    return positives[1:], list(negatives)[1:]
+
+
+def _repeat_first(positives, negatives):
+    negatives = list(negatives)
+    return positives + positives[:1], negatives + negatives[:1]
+
+
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES)
+@pytest.mark.parametrize(
+    "corrupt,what",
+    [
+        (_drop_last_negative, "not closed under negation"),
+        (_drop_first_simple, "is not a positive root"),
+        (_repeat_first, "duplicate roots"),
+    ],
+    ids=["drop_negative", "drop_simple", "duplicate"],
+)
+def test_a_root_list_failing_its_check_is_never_published(family, corrupt, what):
+    # A raised error, not an assert, so that python -O keeps the check.
+    datum = _fresh_datum(family, 4)
+    generate = datum._root_supports
+    datum._root_supports = lambda: corrupt(*generate())
+    for _ in range(2):
+        with pytest.raises(InternalInconsistencyError, match=what):
+            datum.roots
+        with pytest.raises(InternalInconsistencyError, match=what):
+            datum.positive_roots
+    assert datum._root_lists is None
+
+
+@pytest.mark.parametrize(
+    "family,pair,what",
+    [
+        ("SL", (((0, 1),), ((0, 2),)), "nonzero coordinate sum"),
+        ("SO_odd", (((0, 2), (1, 1)), ((0, 2),)), "(2, 1, 0) is not in the lattice"),
+    ],
+)
+def test_root_list_lattice_checks(family, pair, what):
+    datum = _fresh_datum(family, 3)
+    generate = datum._root_supports
+
+    def with_extra_root():
+        positives, negatives = generate()
+        return lattice._with_negatives(positives + [pair])
+
+    datum._root_supports = with_extra_root
+    with pytest.raises(InternalInconsistencyError, match=re.escape(what)):
+        datum.roots
+    assert datum._root_lists is None
 
 
 def test_custom_data_with_wrong_coordinate_counts_are_rejected():

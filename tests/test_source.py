@@ -1,0 +1,18 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import charpflag
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check that a result leans on
+    # must raise a typed error instead.
+    found = []
+    for path in sorted(Path(charpflag.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert found == []
