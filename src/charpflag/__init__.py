@@ -27,8 +27,10 @@ from .lattice import (
     RootDatum,
     Weight,
     WeylElement,
+    cartan_column,
     custom_datum,
     dot_reflect,
+    dynkin_labels,
     is_dominant,
     make_datum,
     make_torus,
@@ -93,8 +95,10 @@ __all__ = [
     "RootDatum",
     "Weight",
     "WeylElement",
+    "cartan_column",
     "custom_datum",
     "dot_reflect",
+    "dynkin_labels",
     "is_dominant",
     "make_datum",
     "make_torus",

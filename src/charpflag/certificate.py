@@ -16,6 +16,7 @@ certificate never overstates a vanishing claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
 from .arith import is_prime
@@ -32,7 +33,7 @@ from .cohomology import (
     aggregate_h1_statuses,
     andersen_h1,
 )
-from .lattice import Root, Weight, dot_reflect, is_dominant, make_datum, pairing
+from .lattice import Root, Weight, is_dominant, make_datum, pairing
 from .rootmorph import RigidityVerdict, RingChar, frobenius_rigidity_verdict
 
 CASE_DIAGONAL = "diagonal"
@@ -132,7 +133,9 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     datum = mu.datum
     if datum.family != "GL":
         raise WeightShapeError(f"End-weight classification expects a GL datum, got {datum.name}")
-    if mu.is_zero():
+    coords = mu.coords
+    support = list(compress(range(len(coords)), coords))
+    if not support:
         return CaseRow(
             weight=mu,
             case_tag=CASE_DIAGONAL,
@@ -140,13 +143,12 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
             pairing_value=None,
             h1=andersen_h1(mu, p),
         )
-    nonzero = [(k, c) for k, c in enumerate(mu.coords) if c]
-    if len(nonzero) != 2 or sorted(c for _, c in nonzero) != [-p, p]:
+    if len(support) != 2 or sorted(coords[k] for k in support) != [-p, p]:
         raise WeightShapeError(
             f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}"
         )
-    i = next(k for k, c in nonzero if c == p) + 1
-    j = next(k for k, c in nonzero if c == -p) + 1
+    a, b = support
+    i, j = (a + 1, b + 1) if coords[a] == p else (b + 1, a + 1)
     if i < j:
         case = CASE_UPPER_FAR
         if j >= datum.rank:
@@ -164,7 +166,8 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
         case = CASE_LOWER_FAR
         root = datum.simple_roots[i - 2]
         expected = p - 2
-    value = pairing(dot_reflect(mu, root), root)
+    # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2.
+    value = -pairing(mu, root) - 2
     if value != expected:
         raise InternalInconsistencyError(f"pairing {value} != closed form {expected} for {mu!r}")
     return CaseRow(

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .arith import is_prime
-from .lattice import Root, RootDatum, Weight, dot_reflect, is_dominant, pairing
+from .lattice import Root, RootDatum, Weight, cartan_column, dynkin_labels, is_dominant, pairing
 
 
 def _require_prime(p: int) -> None:
@@ -87,7 +87,7 @@ class H1Status:
 
     @classmethod
     def zero(cls) -> "H1Status":
-        return cls("zero")
+        return _ZERO
 
     @classmethod
     def nonzero(cls, highest_weight: Weight) -> "H1Status":
@@ -120,6 +120,9 @@ class H1Status:
         }
 
 
+_ZERO = H1Status("zero")
+
+
 # ---------------------------------------------------------------------------
 # Andersen's H^1 criterion
 
@@ -138,29 +141,39 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
       is dominant; the largest weight is lam when lam is dominant, else
       ``mu + sum_{t=m'}^n a_t p^t alpha`` for the minimal applicable m'.
 
+    Every candidate is ``mu + t alpha``, whose labels are those of mu plus
+    t times the Cartan column of alpha, so each dominance test reads at
+    most three labels; a dense weight is built only for a reported
+    largest weight.
+
     All applicable simple roots are evaluated and must agree; conflicting
     definite verdicts raise InternalInconsistencyError (a bug, not a
     mathematical outcome).  If no simple root is applicable the status is
     undetermined.
     """
-    _require_type_a(mu.datum)
+    datum = mu.datum
+    _require_type_a(datum)
     _require_prime(p)
-    if is_dominant(mu):
+    labels = dynkin_labels(mu)
+    negatives = sum(1 for c in labels.values() if c < 0)
+    if not negatives:
         return H1Status.zero()
     verdicts: list[tuple[Root, H1Status]] = []
-    for alpha in mu.datum.simple_roots:
-        c = pairing(mu, alpha)
+    for k, c in labels.items():
         if c > -2:
             continue
-        lam = dot_reflect(mu, alpha)
-        m = pairing(lam, alpha)
+        alpha = datum.simple_roots[k]
+        column = cartan_column(alpha)
+        # m = <lam, alpha^vee> for lam = s_alpha . mu = mu - (c + 1) alpha,
+        # read through the column's diagonal <alpha, alpha^vee>.
+        m = c - (c + 1) * dict(column).get(k, 0)
         if m != -c - 2:
             raise InternalInconsistencyError(
                 f"<s_alpha . mu, alpha^vee> = {m} != {-c - 2} for {mu!r} and {alpha!r}"
             )
         if m <= 0:
             continue  # criterion needs <lam, alpha^vee> > 0
-        verdicts.append((alpha, _andersen_one_root(mu, lam, alpha, m, p)))
+        verdicts.append((alpha, _andersen_one_root(mu, labels, negatives, alpha, column, m, p)))
     if not verdicts:
         return H1Status.undetermined(
             "no simple root with <mu, alpha^vee> <= -3; criterion not applicable"
@@ -174,14 +187,31 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     return statuses[0]
 
 
-def _andersen_one_root(mu: Weight, lam: Weight, alpha: Root, m: int, p: int) -> H1Status:
+def _andersen_one_root(
+    mu: Weight, labels: dict, negatives: int, alpha: Root, column: tuple, m: int, p: int
+) -> H1Status:
+    def dominant(t: int) -> bool:
+        # mu + t alpha moves only the labels on the column's support: it is
+        # dominant iff those stay >= 0 and they hold every negative label.
+        cleared = 0
+        for k, a in column:
+            c = labels.get(k, 0)
+            if c + t * a < 0:
+                return False
+            cleared += c < 0
+        return cleared == negatives
+
+    def nonzero(t: int) -> H1Status:
+        return H1Status.nonzero(mu + t * alpha.vector)
+
+    t_lam = m + 1  # lam = s_alpha . mu = mu + t_lam alpha
     # Part a): m = a p^k - 1 with 0 < a < p.
     s, k = m + 1, 0
     while s % p == 0:
         s //= p
         k += 1
     if s < p:
-        return H1Status.nonzero(lam) if is_dominant(lam) else H1Status.zero()
+        return nonzero(t_lam) if dominant(t_lam) else H1Status.zero()
     # Part b): some digit below the top one is < p-1.  (If all of them were
     # p-1 the pairing would be a p^k - 1 and part a) would have caught it;
     # the guard is kept for safety.)
@@ -191,16 +221,15 @@ def _andersen_one_root(mu: Weight, lam: Weight, alpha: Root, m: int, p: int) -> 
         return H1Status.undetermined(
             f"all low base-{p} digits of {m} equal {p - 1}; criterion part b) inapplicable"
         )
-    if not is_dominant(mu + (digits[n] * p**n) * alpha.vector):
+    if not dominant(digits[n] * p**n):
         return H1Status.zero()
-    if is_dominant(lam):
-        return H1Status.nonzero(lam)
+    if dominant(t_lam):
+        return nonzero(t_lam)
     m_low = next(j for j in range(n) if digits[j] < p - 1)
     for j in range(m_low, n + 1):
         tail = sum(digits[t] * p**t for t in range(j, n + 1))
-        nu = mu + tail * alpha.vector
-        if is_dominant(nu):
-            return H1Status.nonzero(nu)
+        if dominant(tail):
+            return nonzero(tail)
     raise InternalInconsistencyError(
         f"dominant tail weight not found for {mu!r} though nu_n was dominant"
     )

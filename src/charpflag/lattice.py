@@ -26,9 +26,10 @@ by a central (Weyl-invariant) shift, so it induces the same shifted
 reflections.
 
 All types in this module are immutable values (a ``Root`` fills its
-dense views, and a ``RootDatum`` its checked root list, once, on first
-access, with equal values whichever thread gets there first) and all
-operations are pure, so everything here is safe to call concurrently.
+dense views and Cartan column, and a ``RootDatum`` its checked root list,
+once, on first access, with equal values whichever thread gets there
+first) and all operations are pure, so everything here is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -102,6 +104,7 @@ class RootDatum:
         "pairing_denominator",
         "name",
         "_simple_set",
+        "_coroot_index",
         "_root_supports",
         "_root_lists",
     )
@@ -133,6 +136,13 @@ class RootDatum:
         self._root_lists = None
         self.simple_roots = tuple(Root(self, sup, co) for sup, co in simple_pairs)
         self._simple_set = frozenset(self.simple_roots)
+        # Coordinate i -> the k whose simple coroot has a nonzero i-th
+        # coordinate, so that labels cost O(|supp lam|).
+        index = [()] * rank
+        for k, a in enumerate(self.simple_roots):
+            for i, _ in a.co_support:
+                index[i] += (k,)
+        self._coroot_index = tuple(index)
         if weyl_vector_coords is None:
             self.weyl_vector = None
         else:
@@ -373,11 +383,12 @@ class Root:
     A classical root or coroot has at most two nonzero coordinates.  For
     SL the vector's support is its lift with coordinate sum zero, and
     ``vector`` is the canonical representative with last coordinate zero.
-    The dense views ``vector`` and ``coroot`` are built on first access and
-    kept.  Roots compare by datum identity and the two supports.
+    The dense views ``vector`` and ``coroot``, and the labels
+    ``cartan_column``, are built on first access and kept.  Roots compare
+    by datum identity and the two supports.
     """
 
-    __slots__ = ("datum", "support", "co_support", "_vector", "_coroot")
+    __slots__ = ("datum", "support", "co_support", "_vector", "_coroot", "_column")
 
     def __init__(self, datum: RootDatum, support: Support, co_support: Support):
         self.datum = datum
@@ -385,6 +396,7 @@ class Root:
         self.co_support = co_support
         self._vector = None
         self._coroot = None
+        self._column = None
 
     @property
     def vector(self) -> Weight:
@@ -449,6 +461,38 @@ def pairing(lam: Weight, alpha: Root) -> int:
     return q
 
 
+def dynkin_labels(lam: Weight) -> dict[int, int]:
+    """The nonzero labels ``{k: <lam, alpha_k^vee>}`` in increasing k.
+
+    k indexes ``simple_roots``.  Only a simple root whose coroot meets the
+    support of lam can pair nonzero with it: the datum's coordinate index
+    finds those and ``pairing`` evaluates each, so the work is
+    O(|supp lam|) and a point off the lattice raises ``pairing``'s error.
+    """
+    coords = lam.coords
+    index = lam.datum._coroot_index
+    simple = lam.datum.simple_roots
+    labels = {}
+    for k in sorted({k for i in compress(range(len(coords)), coords) for k in index[i]}):
+        c = pairing(lam, simple[k])
+        if c:
+            labels[k] = c
+    return labels
+
+
+def cartan_column(alpha: Root) -> tuple[tuple[int, int], ...]:
+    """The nonzero labels ``(k, <alpha, alpha_k^vee>)`` of the root alpha.
+
+    For a simple alpha_j this is column j of the Cartan matrix, and
+    ``mu + t * alpha`` has the labels of mu plus t times it; in type A it
+    has at most 3 entries.  Built on first use and kept.
+    """
+    column = alpha._column
+    if column is None:
+        column = alpha._column = tuple(dynkin_labels(alpha.vector).items())
+    return column
+
+
 def reflect(lam: Weight, alpha: Root) -> Weight:
     """Reflection s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
     return lam - pairing(lam, alpha) * alpha.vector
@@ -467,7 +511,7 @@ def dot_reflect(lam: Weight, alpha: Root) -> Weight:
 
 def is_dominant(lam: Weight) -> bool:
     """True iff <lam, alpha^vee> >= 0 for every simple root alpha."""
-    return all(pairing(lam, a) >= 0 for a in lam.datum.simple_roots)
+    return min(dynkin_labels(lam).values(), default=0) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,9 @@ def frobenius_rigidity_verdict(
         p = ring_char.p
     if p is not None and not is_prime(p):
         raise NotPrimeError(f"Frobenius multiplier {p} is not prime")
-    if not datum.roots:
+    # A classical datum has roots iff it has simple roots; a custom one may
+    # list roots without simple ones, and its list is built already.
+    if not (datum.roots if datum.family == "custom" else datum.simple_roots):
         return RigidityVerdict(
             lift_possible=True,
             note="toral datum: Frobenius deforms by the multiplication-by-p map",

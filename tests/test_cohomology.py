@@ -13,6 +13,7 @@ from charpflag import (
     andersen_h1,
     base_p_digits,
     bwb_char0,
+    cartan_column,
     dot_reflect,
     end_weights,
     frobenius_twist,
@@ -290,3 +291,15 @@ def test_weyl_dim_checks_integrality_at_runtime(monkeypatch):
     # (2 * 2 + 3) / 3 is not an integer.
     with pytest.raises(InternalInconsistencyError, match="7/3"):
         weyl_dim(make_datum("GL", 2).weight((1, 0)))
+
+
+def test_andersen_checks_the_cartan_column_at_runtime(monkeypatch):
+    # A raised error, not an assert, so that python -O keeps the check.
+    def bad_column(alpha):
+        k = alpha.datum.simple_roots.index(alpha)
+        return tuple((j, 3 if j == k else a) for j, a in cartan_column(alpha))
+
+    monkeypatch.setattr(cohomology, "cartan_column", bad_column)
+    mu = make_datum("GL", 4).weight((0, 0, -5, 5))
+    with pytest.raises(InternalInconsistencyError, match="s_alpha . mu"):
+        andersen_h1(mu, 5)

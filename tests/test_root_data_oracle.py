@@ -6,12 +6,22 @@ library's sparse data must reproduce them in the same order.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from charpflag import RingChar, frobenius_rigidity_verdict, make_datum, pairing
+from charpflag import (
+    CharpFlagError,
+    RingChar,
+    cartan_column,
+    custom_datum,
+    dynkin_labels,
+    frobenius_rigidity_verdict,
+    make_datum,
+    pairing,
+)
 
 RANKS = {
     "GL": range(1, 7),
@@ -118,6 +128,68 @@ def test_sparse_pairing_matches_the_dense_pairing(case):
     for alpha, coroot in zip(datum.roots, coroots):
         dense = Fraction(sum(a * b for a, b in zip(lam.coords, coroot)), den)
         assert pairing(lam, alpha) == dense
+
+
+@lru_cache(maxsize=None)
+def _custom_copy(family, n):
+    """The oracle's tables as a custom datum, which the library does not build."""
+    positives, simples, rho, den = oracle(family, n)
+    return custom_datum(n, positives, simples, rho, den, name=f"custom {family}{n}")
+
+
+@st.composite
+def _labelled_weight(draw):
+    family, n = draw(st.sampled_from(CASES))
+    custom = draw(st.booleans())
+    datum = _custom_copy(family, n) if custom else make_datum(family, n)
+    coords = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    if family == "SO_odd" and not (custom and draw(st.booleans())):
+        # A custom datum does not check parity: half the custom SO_odd
+        # weights stay off the lattice, where the labels must raise.
+        parity = draw(st.integers(0, 1))
+        coords = [2 * c + parity for c in coords]
+    return datum.weight(coords)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CharpFlagError as exc:
+        return type(exc), str(exc)
+
+
+@seed(20181026)
+@settings(max_examples=300, deadline=None)
+@given(_labelled_weight())
+def test_sparse_labels_match_the_pairings_with_every_simple_root(lam):
+    def dense():
+        pairings = [pairing(lam, a) for a in lam.datum.simple_roots]
+        return {k: c for k, c in enumerate(pairings) if c}
+
+    assert _outcome(lambda: dynkin_labels(lam)) == _outcome(dense)
+
+
+@seed(20181027)
+@settings(max_examples=200, deadline=None)
+@given(_weight_and_datum(), st.data())
+def test_labels_move_by_the_cartan_column(case, data):
+    family, n, coords = case
+    datum = make_datum(family, n)
+    mu = datum.weight(coords)
+    if not datum.simple_roots:
+        return
+    k = data.draw(st.integers(0, len(datum.simple_roots) - 1))
+    t = data.draw(st.integers(-50, 50))
+    alpha = datum.simple_roots[k]
+    expected = dict(dynkin_labels(mu))
+    for j, a in cartan_column(alpha):
+        expected[j] = expected.get(j, 0) + t * a
+    assert dynkin_labels(mu + t * alpha.vector) == {j: c for j, c in expected.items() if c}
+    # The column holds <alpha_k, alpha_j^vee>, with 2 on the diagonal.
+    pairings = [pairing(alpha.vector, b) for b in datum.simple_roots]
+    column = dict(cartan_column(alpha))
+    assert column == {j: c for j, c in enumerate(pairings) if c}
+    assert column[k] == 2
 
 
 def test_rigidity_verdict_repeats_and_still_checks_p():
