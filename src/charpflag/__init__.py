@@ -13,12 +13,15 @@ from .errors import (
     CharpFlagError,
     DatumMismatchError,
     DimensionMismatchError,
+    DomainError,
+    IntegerBoundError,
     InternalInconsistencyError,
     InvalidRootDatumError,
     LatticeMembershipError,
     NonSimpleRootError,
     NotPrimeError,
     RankRangeError,
+    ResiduePrimeError,
     UnsupportedDatumError,
     WeightShapeError,
 )
@@ -82,12 +85,15 @@ __all__ = [
     "CharpFlagError",
     "DatumMismatchError",
     "DimensionMismatchError",
+    "DomainError",
+    "IntegerBoundError",
     "InternalInconsistencyError",
     "InvalidRootDatumError",
     "LatticeMembershipError",
     "NonSimpleRootError",
     "NotPrimeError",
     "RankRangeError",
+    "ResiduePrimeError",
     "UnsupportedDatumError",
     "WeightShapeError",
     # lattice

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional
 
-from .arith import is_prime
+from .arith import require_prime
 from .errors import (
     InternalInconsistencyError,
     NotPrimeError,
@@ -91,7 +91,6 @@ class Certificate:
     condition_iii: ConditionCheck
     rigidity_mod_p_squared: RigidityVerdict
     rigidity_char_zero: RigidityVerdict
-    final_verdict: str
     assumptions: tuple[str, ...] = STANDING_ASSUMPTIONS
 
     @property
@@ -99,6 +98,15 @@ class Certificate:
         return not (
             self.rigidity_mod_p_squared.lift_possible or self.rigidity_char_zero.lift_possible
         )
+
+    @property
+    def final_verdict(self) -> str:
+        """``no_lift_where_p_nonzero`` iff every condition and both rigidity checks pass."""
+        if any(row.h1.status == "undetermined" for row in self.rows):
+            return VERDICT_INCONCLUSIVE  # soundness guard, whatever the conditions say
+        conditions = (self.condition_i, self.condition_ii, self.condition_iii)
+        holds = all(c.holds for c in conditions) and self.rigidity_no_lift
+        return VERDICT_NO_LIFT if holds else VERDICT_INCONCLUSIVE
 
     def to_json(self) -> dict:
         return {
@@ -128,8 +136,7 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     cases and 2p - 2 for the adjacent case; a mismatch raises
     ``InternalInconsistencyError``.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
+    require_prime(p)
     datum = mu.datum
     if datum.family != "GL":
         raise WeightShapeError(f"End-weight classification expects a GL datum, got {datum.name}")
@@ -182,8 +189,7 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
 def _validate_parameters(d: int, n: int, p: int) -> None:
     if not 2 <= d <= n - 2:
         raise RankRangeError(f"certificate requires 2 <= d <= N - 2, got d={d}, N={n}")
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
+    require_prime(p)
     if p < 5:
         raise NotPrimeError(f"certificate supports p >= 5 only, got p = {p}")
 
@@ -229,12 +235,6 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
 
     rig_p2 = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.prime_power(p, 2))
     rig_zero = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.zero(), p=p)
-    rigidity_no_lift = not (rig_p2.lift_possible or rig_zero.lift_possible)
-
-    undetermined = any(row.h1.status == "undetermined" for row in rows)
-    everything = (
-        cond_i.holds and cond_ii.holds and cond_iii.holds and rigidity_no_lift and not undetermined
-    )
     return Certificate(
         d=d,
         N=n,
@@ -245,7 +245,6 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
         condition_iii=cond_iii,
         rigidity_mod_p_squared=rig_p2,
         rigidity_char_zero=rig_zero,
-        final_verdict=VERDICT_NO_LIFT if everything else VERDICT_INCONCLUSIVE,
     )
 
 

@@ -86,19 +86,15 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return tuple(_json_int(v, what) for v in values)
 
 
-def _parse_ring_spec(spec: str, p: Optional[int]) -> RingChar:
+def _parse_ring_spec(spec: str, p: int) -> RingChar:
     s = spec.strip().lower()
     if s in ("0", "zero"):
         return RingChar.zero()
     if s in ("p", "prime"):
-        if p is None:
-            raise UsageError("--ring p requires --p")
         return RingChar.prime(p)
     m = re.fullmatch(r"p\^?(\d+)", s)
     if m:
         k = int(m.group(1))
-        if p is None:
-            raise UsageError(f"--ring {spec} requires --p")
         return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
     if s.isdigit():
         value = int(s)
@@ -108,7 +104,7 @@ def _parse_ring_spec(spec: str, p: Optional[int]) -> RingChar:
         if split is None:
             raise UsageError(f"ring characteristic {value} is not a prime power")
         base, k = split
-        if p is not None and p != base:
+        if p != base:
             raise UsageError(f"--ring {spec} conflicts with --p {p}")
         return RingChar.prime(base) if k == 1 else RingChar.prime_power(base, k)
     raise UsageError(f"unrecognized ring characteristic {spec!r}; use 0, p, or p^N")
@@ -405,11 +401,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv and argv[0] == "--batch":
-            if len(argv) != 2:
+        if argv and argv[0].split("=", 1)[0] == "--batch":
+            # "--batch FILE" or "--batch=FILE"
+            batch_args = argv[0].split("=", 1)[1:] + argv[1:]
+            if len(batch_args) != 1:
                 raise UsageError("--batch takes exactly one file argument")
             try:
-                with open(argv[1], "r", encoding="utf-8") as fh:
+                with open(batch_args[0], "r", encoding="utf-8") as fh:
                     lines = fh.read().splitlines()
             except OSError as exc:
                 raise UsageError(f"cannot read batch file: {exc}")

@@ -17,18 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import (
-    InternalInconsistencyError,
-    NotPrimeError,
-    UnsupportedDatumError,
-)
-from .arith import is_prime
+from .errors import DomainError, InternalInconsistencyError, UnsupportedDatumError
+from .arith import require_prime
 from .lattice import Root, RootDatum, Weight, cartan_column, dynkin_labels, is_dominant, pairing
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
 
 
 def _require_type_a(datum: RootDatum) -> None:
@@ -63,9 +54,9 @@ class DigitExpansion:
 
 def base_p_digits(m: int, p: int) -> DigitExpansion:
     """Canonical base-p expansion of m >= 1."""
-    _require_prime(p)
+    require_prime(p)
     if m <= 0:
-        raise ValueError(f"digit expansion requires m >= 1, got {m}")
+        raise DomainError(f"digit expansion requires m >= 1, got {m}")
     digits = []
     while m:
         m, d = divmod(m, p)
@@ -153,7 +144,7 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     """
     datum = mu.datum
     _require_type_a(datum)
-    _require_prime(p)
+    require_prime(p)
     labels = dynkin_labels(mu)
     negatives = sum(1 for c in labels.values() if c < 0)
     if not negatives:
@@ -206,21 +197,15 @@ def _andersen_one_root(
 
     t_lam = m + 1  # lam = s_alpha . mu = mu + t_lam alpha
     # Part a): m = a p^k - 1 with 0 < a < p.
-    s, k = m + 1, 0
+    s = m + 1
     while s % p == 0:
         s //= p
-        k += 1
     if s < p:
         return nonzero(t_lam) if dominant(t_lam) else H1Status.zero()
-    # Part b): some digit below the top one is < p-1.  (If all of them were
-    # p-1 the pairing would be a p^k - 1 and part a) would have caught it;
-    # the guard is kept for safety.)
+    # Part b): part a) failed, so some digit of m below the top one is < p-1
+    # (m = a p^k - 1 exactly when all of them are p-1).
     digits = base_p_digits(m, p).digits
     n = len(digits) - 1
-    if all(digits[j] == p - 1 for j in range(n)):
-        return H1Status.undetermined(
-            f"all low base-{p} digits of {m} equal {p - 1}; criterion part b) inapplicable"
-        )
     if not dominant(digits[n] * p**n):
         return H1Status.zero()
     if dominant(t_lam):
@@ -271,9 +256,12 @@ def aggregate_h1_statuses(statuses: Iterable[H1Status]) -> FiltrationH1:
 class BwbStatus:
     """Classical Borel--Weil--Bott answer: all-zero, or one cohomology degree."""
 
-    all_zero: bool
     degree: Optional[int] = None
     highest_weight: Optional[Weight] = None
+
+    @property
+    def all_zero(self) -> bool:
+        return self.degree is None
 
     def to_json(self) -> dict:
         return {
@@ -296,7 +284,7 @@ def bwb_char0(lam: Weight) -> BwbStatus:
     _require_type_a(lam.datum)
     shifted = (lam + lam.datum.weyl_vector).coords
     if len(set(shifted)) < len(shifted):
-        return BwbStatus(all_zero=True)
+        return BwbStatus()
     inversions = sum(
         1
         for i in range(len(shifted))
@@ -305,7 +293,6 @@ def bwb_char0(lam: Weight) -> BwbStatus:
     )
     dominant_shift = lam.datum.weight(sorted(shifted, reverse=True))
     return BwbStatus(
-        all_zero=False,
         degree=inversions,
         highest_weight=dominant_shift - lam.datum.weyl_vector,
     )
@@ -319,7 +306,7 @@ def weyl_dim(lam: Weight) -> int:
     doubled half sum, which is integral).
     """
     if not is_dominant(lam):
-        raise ValueError(f"weyl_dim requires a dominant weight, got {lam!r}")
+        raise DomainError(f"weyl_dim requires a dominant weight, got {lam!r}")
     datum = lam.datum
     rho2 = [0] * datum.rank  # twice the half sum = sum of positive roots
     for beta in datum.positive_roots:

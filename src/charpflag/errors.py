@@ -37,6 +37,18 @@ class NotPrimeError(CharpFlagError, ValueError):
     """A prime number was required."""
 
 
+class IntegerBoundError(CharpFlagError, ValueError):
+    """Integer above the bound up to which primality is decided by trial division."""
+
+
+class DomainError(CharpFlagError, ValueError):
+    """Argument outside the domain on which the procedure is defined."""
+
+
+class ResiduePrimeError(CharpFlagError, ValueError):
+    """Residue prime missing for, or in conflict with, the base ring."""
+
+
 class WeightShapeError(CharpFlagError, ValueError):
     """Weight does not have the coordinate shape the operation expects."""
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .arith import is_prime, prime_power_base
-from .errors import DimensionMismatchError, InternalInconsistencyError, NotPrimeError
+from .arith import require_prime
+from .errors import DimensionMismatchError, DomainError, ResiduePrimeError
 from .lattice import Root, RootDatum
 
 
@@ -44,16 +44,14 @@ class RingChar:
 
     @classmethod
     def prime(cls, p: int) -> "RingChar":
-        if not is_prime(p):
-            raise NotPrimeError(f"ring characteristic {p} is not prime")
+        require_prime(p, "ring characteristic ")
         return cls("prime", p=p)
 
     @classmethod
     def prime_power(cls, p: int, n: int) -> "RingChar":
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        require_prime(p, "")
         if n < 2:
-            raise ValueError(f"prime_power needs exponent >= 2, got {n}")
+            raise DomainError(f"prime_power needs exponent >= 2, got {n}")
         return cls("prime_power", p=p, n=n)
 
     def describe(self) -> str:
@@ -72,13 +70,16 @@ def q_admissible(q: int, ring_char: RingChar) -> bool:
 
     True for q = 1 always, and for q = p^k exactly when the ring has
     characteristic p (p = 0 in the ring).  Everything else is rejected.
+    q is divided by the ring's prime, never factored, so a q of any size
+    takes O(log q) divisions.
     """
     if q == 1:
         return True
-    pk = prime_power_base(q)
-    if pk is None:
+    if ring_char.kind != "prime" or q < 1:
         return False
-    return ring_char.kind == "prime" and ring_char.p == pk[0]
+    while q % ring_char.p == 0:
+        q //= ring_char.p
+    return q == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,14 +98,11 @@ class MorphismFailure:
 
 @dataclass(frozen=True, slots=True)
 class MorphismVerdict:
-    valid: bool
     failures: tuple[MorphismFailure, ...] = ()
 
-    def __post_init__(self):
-        if self.valid != (not self.failures):
-            raise InternalInconsistencyError(
-                f"verdict valid={self.valid} with {len(self.failures)} failures"
-            )
+    @property
+    def valid(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> dict:
         return {"valid": self.valid, "failures": [f.to_json() for f in self.failures]}
@@ -183,7 +181,7 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
                     f"{data.ring_char.describe()}",
                 )
             )
-    return MorphismVerdict(valid=not failures, failures=tuple(failures))
+    return MorphismVerdict(tuple(failures))
 
 
 def identity_p_morphism(datum: RootDatum, ring_char: RingChar) -> PMorphismData:
@@ -203,8 +201,7 @@ def identity_p_morphism(datum: RootDatum, ring_char: RingChar) -> PMorphismData:
 
 def frobenius_p_morphism(datum: RootDatum, p: int, ring_char: RingChar) -> PMorphismData:
     """The Frobenius data of a split datum: h = p * id, d = id, q == p."""
-    if not is_prime(p):
-        raise NotPrimeError(f"Frobenius multiplier {p} is not prime")
+    require_prime(p, "Frobenius multiplier ")
     h = tuple(tuple(p if i == j else 0 for j in range(datum.rank)) for i in range(datum.rank))
     return PMorphismData(
         source=datum,
@@ -250,19 +247,21 @@ def frobenius_rigidity_verdict(
     """
     if ring_char.p is not None:
         if p is not None and p != ring_char.p:
-            raise ValueError(f"residue prime {p} conflicts with ring {ring_char.describe()}")
+            raise ResiduePrimeError(
+                f"residue prime {p} conflicts with ring {ring_char.describe()}"
+            )
         p = ring_char.p
-    if p is not None and not is_prime(p):
-        raise NotPrimeError(f"Frobenius multiplier {p} is not prime")
-    # A classical datum has roots iff it has simple roots; a custom one may
-    # list roots without simple ones, and its list is built already.
-    if not (datum.roots if datum.family == "custom" else datum.simple_roots):
+    if p is not None:
+        require_prime(p, "Frobenius multiplier ")
+    # A classical datum has roots iff it has simple roots, so its full list
+    # is never built here; a custom one may list roots without simple ones.
+    if not (datum.simple_roots or datum.roots):
         return RigidityVerdict(
             lift_possible=True,
             note="toral datum: Frobenius deforms by the multiplication-by-p map",
         )
     if p is None:
-        raise ValueError("residue prime p required for a characteristic-zero base")
+        raise ResiduePrimeError("residue prime p required for a characteristic-zero base")
     if q_admissible(p, ring_char):
         return RigidityVerdict(lift_possible=True)
     return RigidityVerdict(

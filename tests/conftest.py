@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for charpflag tests."""
+"""Shared hypothesis strategies and references for charpflag tests."""
 
 from hypothesis import strategies as st
 
@@ -35,3 +35,15 @@ def weight_root_pairs(draw, simple_only=False, **kwargs):
     w = draw(datum_weights(**kwargs))
     pool = w.datum.simple_roots if simple_only else w.datum.roots
     return w, draw(st.sampled_from(pool))
+
+
+def prime_power_reference(q):
+    """(p, k) with q = p^k, k >= 1, by trial division over every f; None otherwise."""
+    for f in range(2, q + 1):
+        if q % f == 0:
+            k = 0
+            while q % f == 0:
+                q //= f
+                k += 1
+            return (f, k) if q == 1 else None
+    return None

@@ -10,6 +10,7 @@ from charpflag import (
     InternalInconsistencyError,
     NotPrimeError,
     RankRangeError,
+    RigidityVerdict,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_LIFT,
     WeightShapeError,
@@ -27,6 +28,7 @@ from charpflag.certificate import (
     CASE_LOWER_FAR,
     CASE_UPPER_FAR,
     CaseRow,
+    ConditionCheck,
 )
 
 
@@ -183,6 +185,24 @@ def test_certificate_json_schema():
         assert set(row) == {"weight", "case", "simple_root", "pairing", "h1"}
         assert set(row["h1"]) == {"status", "highest_weight", "undetermined_reason"}
     json.dumps(payload)  # serializable
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("condition_i", ConditionCheck(holds=False, detail="injected")),
+        ("condition_ii", ConditionCheck(holds=False, detail="injected")),
+        ("condition_iii", ConditionCheck(holds=False, detail="injected")),
+        ("rigidity_mod_p_squared", RigidityVerdict(lift_possible=True)),
+        ("rigidity_char_zero", RigidityVerdict(lift_possible=True)),
+    ],
+)
+def test_verdict_is_derived_from_every_check(field, value):
+    base = check_equivariant_smoothness(2, 6, 5)
+    assert base.final_verdict == VERDICT_NO_LIFT
+    cert = dataclasses.replace(base, **{field: value})
+    assert cert.final_verdict == VERDICT_INCONCLUSIVE
+    assert cert.to_json()["verdict"] == VERDICT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------

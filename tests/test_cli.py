@@ -200,6 +200,36 @@ def test_rigidity_rejects_a_non_prime_p_on_toral_data_too(capsys, family, n, p):
     assert err == f"error: Frobenius multiplier {p} is not prime\n"
 
 
+@pytest.mark.parametrize("ring", ["p^0", "p0"])
+def test_rigidity_ring_exponent_zero_is_a_one_line_error(capsys, ring):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", ring, "--p", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: prime_power needs exponent >= 2, got 0\n"
+
+
+M61 = str(2**61 - 1)  # a prime far above the trial-division bound
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h1", "--weight", "0,-5,0", "--p", M61],
+        ["grassmann-check", "--d", "2", "--N", "6", "--p", M61],
+        ["rigidity", "--type", "GL", "--n", "3", "--ring", "0", "--p", M61],
+        ["rigidity", "--type", "GL", "--n", "3", "--ring", M61, "--p", "5"],
+    ],
+    ids=["h1", "grassmann-check", "rigidity-p", "rigidity-ring"],
+)
+def test_oversized_integers_are_a_one_line_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {M61} exceeds the trial-division bound {2**31}\n"
+
+
 def test_rigidity_ring_p_conflict(capsys):
     code, _, err = run_cli(
         capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "25", "--p", "7"
@@ -345,6 +375,25 @@ _CUSTOM_SL2 = {
 }
 
 
+def test_isogeny_check_oversized_ring_prime_is_a_one_line_error(capsys, tmp_path):
+    path = _write_morphism(
+        tmp_path, _gl3_identity_morphism(ring_char={"kind": "prime", "p": int(M61)})
+    )
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "exceeds the trial-division bound" in err
+
+
+def test_isogeny_check_oversized_q_is_inadmissible(capsys, tmp_path):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(q=int(M61)))
+    code, payload = run_json(capsys, "isogeny-check", "--file", path, "--json")
+    assert code == 0
+    assert payload["result"]["valid"] is False
+    assert "q_admissible" in {f["relation"] for f in payload["result"]["failures"]}
+
+
 @pytest.mark.parametrize(
     "overrides,what",
     [
@@ -474,6 +523,29 @@ def test_batch_usage_error_dominates(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--batch", str(batch))
     assert code == 1
     assert "2 <= d" in err
+
+
+def test_batch_line_error_does_not_stop_later_lines(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "rigidity --type GL --n 3 --ring p^0 --p 5\nh1 --weight 0,0,0,0 --p 5 --json\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err == "error: prime_power needs exponent >= 2, got 0\n"
+    assert json.loads(out)["result"]["status"] == "zero"
+
+
+def test_batch_accepts_the_equals_form(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text("h1 --weight 0,2,0,0 --p 5 --json\n", encoding="utf-8")
+    spaced = run_cli(capsys, "--batch", str(batch))
+    assert run_cli(capsys, f"--batch={batch}") == spaced
+    assert spaced[0] == 2 and spaced[2] == ""
+    code, _, err = run_cli(capsys, f"--batch={batch}", "extra")
+    assert code == 1
+    assert "exactly one file argument" in err
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

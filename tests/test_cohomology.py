@@ -73,6 +73,21 @@ def test_digit_roundtrip_bulk():
         assert all(0 <= d < p for d in exp.digits) and exp.digits[-1] != 0
 
 
+def test_part_a_is_exactly_the_all_low_digits_test():
+    # _andersen_one_root decides part a), "m + 1 = a p^k with 0 < a < p", by
+    # dividing m + 1 by p, and part b) needs a digit of m below the top one
+    # that is < p - 1.  m = a p^k - 1 has the low digits p - 1 and the top
+    # digit a - 1 (or p - 1 when a = 1), and conversely, so part b) always
+    # applies when part a) does not.  Checked on every m <= p^4.
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, p**4 + 1):
+            s = m + 1
+            while s % p == 0:
+                s //= p
+            digits = base_p_digits(m, p).digits
+            assert (s < p) == all(d == p - 1 for d in digits[:-1]), (p, m)
+
+
 # ---------------------------------------------------------------------------
 # Andersen H^1
 

@@ -1,11 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpflag import (
     DimensionMismatchError,
-    InternalInconsistencyError,
-    MorphismVerdict,
     NotPrimeError,
     UnsupportedDatumError,
     PMorphismData,
@@ -20,7 +18,9 @@ from charpflag import (
     weyl_group,
     weyl_group_order,
 )
-from charpflag.rootmorph import MorphismFailure, q_admissible
+from charpflag.rootmorph import q_admissible
+
+from conftest import prime_power_reference
 
 RINGS = (RingChar.zero(), RingChar.prime(5), RingChar.prime_power(5, 2))
 
@@ -133,6 +133,28 @@ def test_q_admissibility_rule():
     assert not q_admissible(12, RingChar.prime(3))
 
 
+_ADMISSIBILITY_RINGS = (
+    [RingChar.zero()]
+    + [RingChar.prime(p) for p in (2, 3, 5, 7, 11, 13)]
+    + [RingChar.prime_power(p, n) for p, n in ((2, 2), (3, 3), (5, 2), (7, 2))]
+)
+
+
+@given(st.integers(-3, 5000), st.sampled_from(_ADMISSIBILITY_RINGS))
+@settings(max_examples=300)
+def test_q_admissible_matches_the_factoring_rule(q, ring):
+    split = prime_power_reference(q)
+    expected = q == 1 or (ring.kind == "prime" and split is not None and split[0] == ring.p)
+    assert q_admissible(q, ring) == expected
+
+
+def test_q_admissible_needs_no_factoring():
+    # Far above the trial-division bound, answered by division alone.
+    assert q_admissible(5**60, RingChar.prime(5))
+    assert not q_admissible(2**61 - 1, RingChar.prime(5))
+    assert not q_admissible(2**61 - 1, RingChar.zero())
+
+
 # ---------------------------------------------------------------------------
 # Rigidity verdicts
 
@@ -190,15 +212,6 @@ def test_rigidity_rejects_a_non_prime_p_on_every_datum(datum, p):
     # The toral short-circuit must not skip the primality check.
     with pytest.raises(NotPrimeError, match=f"Frobenius multiplier {p} is not prime"):
         frobenius_rigidity_verdict(datum, RingChar.zero(), p=p)
-
-
-def test_morphism_verdict_checks_its_failures_at_runtime():
-    gl2 = make_datum("GL", 2)
-    failure = MorphismFailure("q_positive", gl2.roots[0], "q = 0 must be a positive integer")
-    with pytest.raises(InternalInconsistencyError):
-        MorphismVerdict(valid=True, failures=(failure,))
-    with pytest.raises(InternalInconsistencyError):
-        MorphismVerdict(valid=False)
 
 
 def test_rigidity_zero_ring_needs_a_residue_prime():
