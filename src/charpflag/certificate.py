@@ -150,7 +150,7 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
             pairing_value=None,
             h1=andersen_h1(mu, p),
         )
-    if len(support) != 2 or sorted(coords[k] for k in support) != [-p, p]:
+    if len(support) != 2 or {coords[support[0]], coords[support[1]]} != {-p, p}:
         raise WeightShapeError(
             f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}"
         )

@@ -86,6 +86,14 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return tuple(_json_int(v, what) for v in values)
 
 
+def _decimal(digits: str, what: str) -> int:
+    """``int(digits)``, with CPython's limit on converted digits a usage error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(f"{what} has {len(digits)} digits, too many to convert") from None
+
+
 def _parse_ring_spec(spec: str, p: int) -> RingChar:
     s = spec.strip().lower()
     if s in ("0", "zero"):
@@ -94,10 +102,10 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
         return RingChar.prime(p)
     m = re.fullmatch(r"p\^?(\d+)", s)
     if m:
-        k = int(m.group(1))
+        k = _decimal(m.group(1), "ring exponent")
         return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
     if s.isdigit():
-        value = int(s)
+        value = _decimal(s, "ring characteristic")
         if value < 2:
             raise UsageError(f"ring characteristic {value} must be 0 or a prime power")
         split = prime_power_base(value)
@@ -260,6 +268,8 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
         raise UsageError(f"cannot read {args.file}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.file} is not valid JSON: {exc}")
+    except ValueError:  # an integer past CPython's limit on converted digits
+        raise UsageError(f"{args.file} holds an integer with too many digits to convert") from None
     try:
         source = _load_datum_spec(spec["source"], "source")
         target = _load_datum_spec(spec["target"], "target")
@@ -339,7 +349,8 @@ _HANDLERS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="charpflag", description=__doc__.splitlines()[0])
+    # No prefix matching at the top level: "--bat FILE" is an error, not --batch.
+    parser = _Parser(prog="charpflag", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--batch", metavar="FILE", help="evaluate one query per line of FILE")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

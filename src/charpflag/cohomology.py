@@ -146,9 +146,12 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     _require_type_a(datum)
     require_prime(p)
     labels = dynkin_labels(mu)
-    negatives = sum(1 for c in labels.values() if c < 0)
+    negatives = 0
+    for c in labels.values():
+        if c < 0:
+            negatives += 1
     if not negatives:
-        return H1Status.zero()
+        return _ZERO
     verdicts: list[tuple[Root, H1Status]] = []
     for k, c in labels.items():
         if c > -2:
@@ -157,7 +160,10 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
         column = cartan_column(alpha)
         # m = <lam, alpha^vee> for lam = s_alpha . mu = mu - (c + 1) alpha,
         # read through the column's diagonal <alpha, alpha^vee>.
-        m = c - (c + 1) * dict(column).get(k, 0)
+        m = c
+        for j, a in column:
+            if j == k:
+                m -= (c + 1) * a
         if m != -c - 2:
             raise InternalInconsistencyError(
                 f"<s_alpha . mu, alpha^vee> = {m} != {-c - 2} for {mu!r} and {alpha!r}"
@@ -169,52 +175,59 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
         return H1Status.undetermined(
             "no simple root with <mu, alpha^vee> <= -3; criterion not applicable"
         )
-    statuses = [v for _, v in verdicts]
-    for other in statuses[1:]:
-        if other != statuses[0]:
+    status = verdicts[0][1]
+    for _, other in verdicts:
+        if other is not status and other != status:
             raise InternalInconsistencyError(
                 f"simple roots give conflicting H^1 verdicts for {mu!r}: {verdicts}"
             )
-    return statuses[0]
+    return status
+
+
+def _shift_is_dominant(labels, negatives: int, column: tuple, t: int) -> bool:
+    """Whether mu + t alpha is dominant, given the labels of mu and alpha's column.
+
+    mu + t alpha moves only the labels on the column's support: it is
+    dominant iff those stay >= 0 and they hold every negative label of mu.
+    """
+    cleared = 0
+    for k, a in column:
+        c = labels.get(k, 0)
+        if c + t * a < 0:
+            return False
+        if c < 0:
+            cleared += 1
+    return cleared == negatives
 
 
 def _andersen_one_root(
-    mu: Weight, labels: dict, negatives: int, alpha: Root, column: tuple, m: int, p: int
+    mu: Weight, labels, negatives: int, alpha: Root, column: tuple, m: int, p: int
 ) -> H1Status:
-    def dominant(t: int) -> bool:
-        # mu + t alpha moves only the labels on the column's support: it is
-        # dominant iff those stay >= 0 and they hold every negative label.
-        cleared = 0
-        for k, a in column:
-            c = labels.get(k, 0)
-            if c + t * a < 0:
-                return False
-            cleared += c < 0
-        return cleared == negatives
-
-    def nonzero(t: int) -> H1Status:
-        return H1Status.nonzero(mu + t * alpha.vector)
-
     t_lam = m + 1  # lam = s_alpha . mu = mu + t_lam alpha
     # Part a): m = a p^k - 1 with 0 < a < p.
-    s = m + 1
+    s = t_lam
     while s % p == 0:
         s //= p
     if s < p:
-        return nonzero(t_lam) if dominant(t_lam) else H1Status.zero()
+        if _shift_is_dominant(labels, negatives, column, t_lam):
+            return H1Status.nonzero(mu + t_lam * alpha.vector)
+        return _ZERO
     # Part b): part a) failed, so some digit of m below the top one is < p-1
-    # (m = a p^k - 1 exactly when all of them are p-1).
+    # (m = a p^k - 1 exactly when all of them are p-1).  The candidate
+    # mu + (sum_{t >= j} a_t p^t) alpha has shift m - (m mod p^j).
     digits = base_p_digits(m, p).digits
     n = len(digits) - 1
-    if not dominant(digits[n] * p**n):
-        return H1Status.zero()
-    if dominant(t_lam):
-        return nonzero(t_lam)
-    m_low = next(j for j in range(n) if digits[j] < p - 1)
+    if not _shift_is_dominant(labels, negatives, column, m - m % p**n):
+        return _ZERO
+    if _shift_is_dominant(labels, negatives, column, t_lam):
+        return H1Status.nonzero(mu + t_lam * alpha.vector)
+    m_low = 0
+    while digits[m_low] == p - 1:
+        m_low += 1
     for j in range(m_low, n + 1):
-        tail = sum(digits[t] * p**t for t in range(j, n + 1))
-        if dominant(tail):
-            return nonzero(tail)
+        tail = m - m % p**j
+        if _shift_is_dominant(labels, negatives, column, tail):
+            return H1Status.nonzero(mu + tail * alpha.vector)
     raise InternalInconsistencyError(
         f"dominant tail weight not found for {mu!r} though nu_n was dominant"
     )

@@ -25,20 +25,22 @@ by a central (Weyl-invariant) shift, so it induces the same shifted
 ("dot") action ``s_alpha . lam = s_alpha(lam) - alpha`` on simple
 reflections.
 
-All types in this module are immutable values (a ``Root`` fills its
-dense views and Cartan column, and a ``RootDatum`` its checked root list,
-once, on first access, with equal values whichever thread gets there
-first) and all operations are pure, so everything here is safe to call
-concurrently.
+All types in this module are immutable values (a ``Weight`` fills its
+Dynkin labels, a ``Root`` its dense views and Cartan column, and a
+``RootDatum`` its checked root list, once, on first access, with equal
+values whichever thread gets there first) and all operations are pure, so
+everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import compress, repeat
+from operator import add, mul, neg, sub
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     CharpFlagError,
@@ -174,6 +176,10 @@ class RootDatum:
     def _canonical(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical stored form of a coordinate vector, or raise."""
         _check_coords(coords, self.rank, self.name)
+        return self._reduce(coords)
+
+    def _reduce(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """Canonical stored form of a point of Z^rank, or raise off the lattice."""
         if self.family == "SL":
             last = coords[-1]
             if last:
@@ -197,10 +203,14 @@ class RootDatum:
 
     def fundamental_character(self, i: int) -> "Weight":
         """The basis character l_i (1-indexed) as a Weight of this datum."""
+        if type(i) is not int:
+            raise LatticeMembershipError(f"character index {i!r} is not an integer")
         if not 1 <= i <= self.rank:
             raise LatticeMembershipError(f"character index {i} outside 1..{self.rank}")
-        scale = 2 if self.family == "SO_odd" else 1
-        return self.weight(tuple(scale if j == i - 1 else 0 for j in range(self.rank)))
+        coords = [0] * self.rank
+        coords[i - 1] = 2 if self.family == "SO_odd" else 1
+        # A point of Z^rank by construction; only the family's reduction is left.
+        return _trusted_weight(self._reduce(tuple(coords)), self)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -284,10 +294,15 @@ class Weight:
     Value semantics: two weights are equal iff their datum handles and
     stored coordinates agree.  Construction requires integer coordinates,
     canonicalizes (SL) and validates lattice membership (SO_odd parity).
+    ``dynkin_labels`` keeps the weight's labels in ``_labels`` on first
+    use; they take no part in equality, hashing or ``repr``.
     """
 
     coords: tuple[int, ...]
     datum: RootDatum
+    _labels: Optional[Mapping[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "coords", self.datum._canonical(tuple(self.coords)))
@@ -301,26 +316,27 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         if other.datum is not self.datum:
             _same_datum(self, other)
-        return _trusted_weight(
-            tuple(a + b for a, b in zip(self.coords, other.coords)), self.datum
-        )
+        return _trusted_weight(tuple(map(add, self.coords, other.coords)), self.datum)
 
     def __sub__(self, other: "Weight") -> "Weight":
         if other.datum is not self.datum:
             _same_datum(self, other)
-        return _trusted_weight(
-            tuple(a - b for a, b in zip(self.coords, other.coords)), self.datum
-        )
+        return _trusted_weight(tuple(map(sub, self.coords, other.coords)), self.datum)
 
     def __neg__(self) -> "Weight":
-        return _trusted_weight(tuple(-a for a in self.coords), self.datum)
+        return _trusted_weight(tuple(map(neg, self.coords)), self.datum)
 
     def __mul__(self, k: int) -> "Weight":
         if not isinstance(k, int):
             return NotImplemented
-        return _trusted_weight(tuple(k * a for a in self.coords), self.datum)
+        return _trusted_weight(tuple(map(mul, repeat(k), self.coords)), self.datum)
 
     __rmul__ = __mul__
+
+    def __deepcopy__(self, memo) -> "Weight":
+        # An immutable value, like a tuple; copying would also copy its
+        # datum, which compares by identity, and the read-only labels.
+        return self
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -334,6 +350,7 @@ class Weight:
 
 _set_coords = Weight.coords.__set__
 _set_datum = Weight.datum.__set__
+_set_labels = Weight._labels.__set__
 
 
 def _trusted_weight(coords: tuple[int, ...], datum: RootDatum) -> Weight:
@@ -341,6 +358,7 @@ def _trusted_weight(coords: tuple[int, ...], datum: RootDatum) -> Weight:
     w = object.__new__(Weight)
     _set_coords(w, coords)
     _set_datum(w, datum)
+    _set_labels(w, None)
     return w
 
 
@@ -461,22 +479,28 @@ def pairing(lam: Weight, alpha: Root) -> int:
     return q
 
 
-def dynkin_labels(lam: Weight) -> dict[int, int]:
-    """The nonzero labels ``{k: <lam, alpha_k^vee>}`` in increasing k.
+def dynkin_labels(lam: Weight) -> Mapping[int, int]:
+    """The nonzero labels ``{k: <lam, alpha_k^vee>}`` in increasing k, read-only.
 
     k indexes ``simple_roots``.  Only a simple root whose coroot meets the
     support of lam can pair nonzero with it: the datum's coordinate index
     finds those and ``pairing`` evaluates each, so the work is
     O(|supp lam|) and a point off the lattice raises ``pairing``'s error.
+    The labels are computed on the first call and kept on lam.
     """
+    labels = lam._labels
+    if labels is not None:
+        return labels
     coords = lam.coords
     index = lam.datum._coroot_index
     simple = lam.datum.simple_roots
-    labels = {}
+    found = {}
     for k in sorted({k for i in compress(range(len(coords)), coords) for k in index[i]}):
         c = pairing(lam, simple[k])
         if c:
-            labels[k] = c
+            found[k] = c
+    labels = MappingProxyType(found)
+    _set_labels(lam, labels)
     return labels
 
 
@@ -511,7 +535,10 @@ def dot_reflect(lam: Weight, alpha: Root) -> Weight:
 
 def is_dominant(lam: Weight) -> bool:
     """True iff <lam, alpha^vee> >= 0 for every simple root alpha."""
-    return min(dynkin_labels(lam).values(), default=0) >= 0
+    for c in dynkin_labels(lam).values():
+        if c < 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from charpflag import (
     make_datum,
     pairing,
 )
+from charpflag import lattice
 from charpflag.lattice import MAX_RANK
 from charpflag.certificate import (
     CASE_ADJACENT,
@@ -111,6 +112,41 @@ def test_classify_checks_the_closed_form_at_runtime(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # check_equivariant_smoothness
+
+
+def test_condition_i_judges_each_rows_own_weight():
+    base = check_equivariant_smoothness(2, 6, 5)
+    assert base.condition_i.holds
+    # p(l_1 - l_6) is dominant; its row replaces an off-diagonal row whose
+    # labels the certificate has already read.
+    dominant = _end_weight(6, 5, 1, 6)
+    k = next(k for k, row in enumerate(base.rows) if not row.weight.is_zero())
+    rows = list(base.rows)
+    rows[k] = dataclasses.replace(rows[k], weight=dominant)
+    cert = certificate_from_rows(2, 6, 5, rows)
+    assert not cert.condition_i.holds
+    assert "(5, 0, 0, 0, 0, -5)" in cert.condition_i.detail
+    assert cert.final_verdict == VERDICT_INCONCLUSIVE
+
+
+def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
+    check_equivariant_smoothness(3, 6, 5)  # fills the kept Cartan columns
+    evaluated = []
+    real_pairing = lattice.pairing
+
+    def counting(lam, alpha):
+        evaluated.append((lam.coords, alpha))
+        return real_pairing(lam, alpha)
+
+    monkeypatch.setattr(lattice, "pairing", counting)
+    cert = check_equivariant_smoothness(3, 6, 5)
+    assert cert.final_verdict == VERDICT_NO_LIFT
+    # Labels pair p(l_i - l_j) with the simple roots whose coroot meets
+    # coordinate i or j: 2 for {i, j} = {1, 2}, 3 for {1, 3} and for
+    # {2, 3}; each pair of indices gives two rows.  The diagonal rows and
+    # the adjacent rows' largest weight, 0, have no labels to compute.
+    assert len(evaluated) == 2 * (2 + 3 + 3)
+    assert len(set(evaluated)) == len(evaluated)
 
 
 def test_certificate_totaro_case():

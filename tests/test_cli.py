@@ -230,6 +230,46 @@ def test_oversized_integers_are_a_one_line_error(capsys, argv):
     assert err == f"error: {M61} exceeds the trial-division bound {2**31}\n"
 
 
+HUGE = "9" * 5000  # past CPython's default limit of 4300 converted digits
+
+
+@pytest.mark.parametrize("ring", [HUGE, "p^" + HUGE], ids=["characteristic", "exponent"])
+def test_huge_ring_integers_are_a_one_line_error(capsys, ring):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", ring, "--p", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(("usage error: ", "error: "))
+
+
+def test_huge_isogeny_integer_is_a_one_line_error(capsys, tmp_path):
+    # json.dumps cannot write such an integer either, so it is spliced in.
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(_gl3_identity_morphism(q=0)).replace('"q": 0', '"q": ' + HUGE))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(("usage error: ", "error: "))
+
+
+def test_huge_integers_do_not_stop_a_batch(capsys, tmp_path):
+    morphism = tmp_path / "morphism.json"
+    morphism.write_text(json.dumps(_gl3_identity_morphism(q=0)).replace('"q": 0', '"q": ' + HUGE))
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        f"rigidity --type GL --n 3 --ring {HUGE} --p 5\n"
+        f"rigidity --type GL --n 3 --ring p^{HUGE} --p 5\n"
+        f"isogeny-check --file {morphism}\n"
+        "h1 --weight 0,0,0,0 --p 5 --json\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err.count("\n") == 3 and "Traceback" not in err
+    assert json.loads(out)["result"]["status"] == "zero"
+
+
 def test_rigidity_ring_p_conflict(capsys):
     code, _, err = run_cli(
         capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "25", "--p", "7"
@@ -557,3 +597,20 @@ def test_no_subcommand_is_a_usage_error(capsys):
 def test_unknown_flag_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "h1", "--weight", "1,0", "--p", "5", "--frobnicate")
     assert code == 1
+
+
+def test_batch_option_is_not_abbreviated(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text("h1 --weight 0,0,0,0 --p 5\n", encoding="utf-8")
+    for argv in (["--bat", str(batch)], [f"--bat={batch}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        assert "subcommand is required" not in err
+
+
+def test_subcommand_options_still_take_prefixes(capsys):
+    code, payload = run_json(capsys, "h1", "--weig", "0,0,0,0", "--p", "5", "--js")
+    assert code == 0
+    assert payload["result"]["status"] == "zero"

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -15,6 +17,7 @@ from charpflag import (
     Weight,
     custom_datum,
     dot_reflect,
+    dynkin_labels,
     is_dominant,
     make_datum,
     make_torus,
@@ -143,6 +146,47 @@ def test_sl_weights_are_canonicalized_mod_all_ones():
     d = make_datum("SL", 3)
     assert d.weight((2, 3, 1)).coords == (1, 2, 0)
     assert d.weight((1, 1, 1)) == d.zero()
+
+
+def test_fundamental_characters_are_canonical_lattice_points():
+    sl3 = make_datum("SL", 3)
+    assert sl3.fundamental_character(3).coords == (-1, -1, 0)
+    for family in ("GL", "SL", "Sp", "SO_even", "SO_odd"):
+        for n in range(2, 6):
+            d = make_datum(family, n)
+            scale = 2 if family == "SO_odd" else 1
+            for i in range(1, n + 1):
+                e_i = tuple(scale if j == i - 1 else 0 for j in range(n))
+                assert d.fundamental_character(i) == d.weight(e_i)
+    assert make_datum("SO_odd", 3).fundamental_character(2).coords == (0, 2, 0)
+    gl3 = make_datum("GL", 3)
+    for i in (0, 4, -1):
+        with pytest.raises(LatticeMembershipError, match="outside 1..3"):
+            gl3.fundamental_character(i)
+    for i in (1.0, True):
+        with pytest.raises(LatticeMembershipError, match="is not an integer"):
+            gl3.fundamental_character(i)
+
+
+def test_kept_labels_are_read_only_and_outside_value_semantics():
+    gl4 = make_datum("GL", 4)
+    w, twin = gl4.weight((3, 0, -3, 0)), gl4.weight((3, 0, -3, 0))
+    labels = dynkin_labels(w)
+    assert labels == {0: 3, 1: 3, 2: -3}
+    assert dynkin_labels(w) is labels  # kept, not recomputed
+    with pytest.raises(TypeError):
+        labels[2] = 0
+    with pytest.raises(AttributeError):
+        labels.clear()
+    assert not is_dominant(w)
+    # twin has no labels yet: equality, hash and repr do not see them.
+    assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
+    assert len({w, twin}) == 1
+    assert copy.deepcopy(w) is w and copy.copy(w) == w
+    assert dynkin_labels(twin) == labels
+    # New weights start without labels, and get their own.
+    assert dynkin_labels(-w) == {0: -3, 1: -3, 2: 3}
+    assert dynkin_labels(dataclasses.replace(w, coords=(0, 0, 0, 1))) == {2: -1}
 
 
 def test_sl2_root_is_twice_fundamental_weight():
