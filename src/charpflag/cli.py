@@ -62,6 +62,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# A quote, a backslash or whitespace other than space and tab: the only
+# characters on which shlex.split (posix, no commenters) and str.split differ.
+_NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t]")
+
+
+def _split_line(line: str) -> list[str]:
+    """``shlex.split(line)``, by ``str.split`` when no character needs shlex."""
+    return shlex.split(line) if _NEEDS_SHLEX.search(line) else line.split()
+
+
 def _gl_weight(args) -> Weight:
     """The ``--weight`` of h1/bwb0 as a weight of GL(--N)."""
     try:
@@ -383,13 +393,35 @@ def build_parser() -> _Parser:
 
     for sp in (p_roots, p_h1, p_bwb, p_gc, p_iso, p_rig):
         sp.add_argument("--json", action="store_true", help="emit a JSON report envelope")
+    parser.subcommands = sub.choices  # name -> subparser, for _parse_args
     return parser
 
 
+def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace of one query, from a single parse.
+
+    When argv[0] names a subcommand, that subcommand's parser reads the rest,
+    as the top-level parser would hand it every later word.  Otherwise the
+    top-level parser reads argv and must yield a subcommand.
+    """
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args = subparser.parse_args(argv[1:])
+        args.command = argv[0]
+    else:
+        option = argv[0].split("=", 1)[0] if argv else ""
+        if option.startswith("--") and option not in ("--", "--batch", "--help"):
+            raise UsageError(f"unrecognized option {option!r}")
+        args = parser.parse_args(argv)
+        if args.batch is not None:  # main reads a leading --batch itself
+            raise UsageError("--batch cannot be used inside a batch file")
+        if args.command is None:
+            raise UsageError("a subcommand is required (see --help)")
+    return args
+
+
 def _run_single(parser: _Parser, argv: Sequence[str], compact_json: bool) -> int:
-    args = parser.parse_args(argv)
-    if args.command is None:
-        raise UsageError("a subcommand is required (see --help)")
+    args = _parse_args(parser, argv)
     inputs, result, text, code = _HANDLERS[args.command](args)
     if args.json:
         envelope = {
@@ -428,7 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    code = _run_single(parser, shlex.split(line), compact_json=True)
+                    code = _run_single(parser, _split_line(line), compact_json=True)
                 except (UsageError, CharpFlagError) as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     code = EXIT_USAGE

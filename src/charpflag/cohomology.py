@@ -57,11 +57,16 @@ def base_p_digits(m: int, p: int) -> DigitExpansion:
     require_prime(p)
     if m <= 0:
         raise DomainError(f"digit expansion requires m >= 1, got {m}")
+    return DigitExpansion(tuple(_digits(m, p)), p)
+
+
+def _digits(m: int, p: int) -> list[int]:
+    """Base-p digits of m >= 1, least significant first; p is checked by the caller."""
     digits = []
     while m:
         m, d = divmod(m, p)
         digits.append(d)
-    return DigitExpansion(tuple(digits), p)
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +220,7 @@ def _andersen_one_root(
     # Part b): part a) failed, so some digit of m below the top one is < p-1
     # (m = a p^k - 1 exactly when all of them are p-1).  The candidate
     # mu + (sum_{t >= j} a_t p^t) alpha has shift m - (m mod p^j).
-    digits = base_p_digits(m, p).digits
+    digits = _digits(m, p)  # andersen_h1 checked p; m > 0 here
     n = len(digits) - 1
     if not _shift_is_dominant(labels, negatives, column, m - m % p**n):
         return _ZERO

@@ -1,13 +1,17 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import charpflag
-from charpflag import __version__
+from charpflag import __version__, cli
 from charpflag.cli import main
 
 
@@ -608,9 +612,131 @@ def test_batch_option_is_not_abbreviated(capsys, tmp_path):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("usage error: ")
         assert "subcommand is required" not in err
+        assert err == "usage error: unrecognized option '--bat'\n"
+
+
+def test_unknown_leading_option_is_named(capsys, tmp_path):
+    assert run_cli(capsys, "--frob") == (1, "", "usage error: unrecognized option '--frob'\n")
+    batch = tmp_path / "queries.txt"
+    batch.write_text("--frob=1 h1 --weight 0,0 --p 5\nh1 --weight 0,0 --p 5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert (code, err) == (1, "error: unrecognized option '--frob'\n")
+    assert out.startswith("weight: (0, 0)")
+
+
+def test_help_still_prints_usage(capsys):
+    for argv in (["-h"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: charpflag")
 
 
 def test_subcommand_options_still_take_prefixes(capsys):
     code, payload = run_json(capsys, "h1", "--weig", "0,0,0,0", "--p", "5", "--js")
     assert code == 0
     assert payload["result"]["status"] == "zero"
+
+
+def test_nested_batch_line_is_an_error_and_the_next_line_runs(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "--batch x roots --type GL --n 2 --json\n"
+        "--batch=x roots --type GL --n 2 --json\n"
+        "h1 --weight 0,0 --p 5 --json\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err == "error: --batch cannot be used inside a batch file\n" * 2
+    assert [json.loads(line)["command"] for line in out.splitlines()] == ["h1"]
+
+
+# ---------------------------------------------------------------------------
+# batch tokenization and the one-parse path
+
+
+@seed(20181028)
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="ab1,-= '\"\\#\t\n\r\xa0\x1f\u3000\x0b\x00", max_size=24))
+def test_split_line_matches_shlex(line):
+    try:
+        expected = shlex.split(line)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            cli._split_line(line)
+    else:
+        assert cli._split_line(line) == expected
+
+
+ONE_PARSE_CORPUS = [
+    ["h1", "--weight", "1,2,3", "--p", "5"],
+    ["h1", "--weight", "1,2,3", "--p", "5", "--json"],
+    ["h1", "--weight", "-5,5,0", "--p", "5", "--N", "3"],
+    ["h1", "--weig", "0,0", "--p", "5", "--js"],
+    ["h1", "--weight=1,2", "--p=5", "--json"],
+    ["h1", "--weight", "1,2", "--weight", "3,4", "--p", "5"],
+    ["h1", "--json", "--json", "--weight", "0", "--p", "5"],
+    ["h1", "--p", "5"],
+    ["h1"],
+    ["h1", "--weight"],
+    ["h1", "--weight", "1,2", "--p", "5", "--N"],
+    ["h1", "--weight", "1,2", "--p", "five"],
+    ["h1", "--weight", "1,2", "--p", "-3"],
+    ["h1", "--weight", "1,2", "--p", "5", "--frob"],
+    ["h1", "--weight", "1,2", "--p", "5", "extra", "words"],
+    ["h1", "--weight", "1,2", "--p", "5", "--"],
+    ["h1", "--", "--weight", "1,2", "--p", "5"],
+    ["h1", "--weight", "1,2", "--p", "5", "--batch", "x"],
+    ["roots", "--type", "GL", "--n", "3"],
+    ["roots", "--type", "GL"],
+    ["roots", "--type", "GL", "--n", "3.5"],
+    ["bwb0", "--weight", "4,2,1,0", "--N", "4", "--json"],
+    ["grassmann-check", "--d", "2", "--N", "7", "--p", "5", "--json"],
+    ["grassmann-check", "--d", "2", "--N", "7"],
+    ["isogeny-check", "--file", "morphism.json"],
+    ["isogeny-check", "--fil=morphism.json", "--json"],
+    ["isogeny-check"],
+    ["rigidity", "--type", "GL", "--n", "4", "--ring", "p^2", "--p", "5", "--p", "7"],
+    ["rigidity", "--type=SL", "--n=3", "--ring=0", "--p=5", "--json"],
+    ["rigidity", "--type", "GL", "--n", "4", "--ring", "p^2"],
+]
+
+
+def _parsed_or_error(parse, argv):
+    try:
+        namespace = vars(parse(argv))
+    except cli.UsageError as exc:
+        return f"UsageError: {exc}"
+    namespace.pop("batch", None)
+    return namespace
+
+
+@pytest.mark.parametrize("argv", ONE_PARSE_CORPUS, ids=" ".join)
+def test_subcommand_parse_matches_the_top_level_parse(argv):
+    parser = cli.build_parser()
+    direct = _parsed_or_error(lambda a: cli._parse_args(parser, a), argv)
+    assert direct == _parsed_or_error(parser.parse_args, argv)
+
+
+def test_quoted_and_escaped_batch_lines_print_the_same_bytes(capsys, tmp_path):
+    plain = [
+        "h1 --weight 1,2,3 --p 5 --json",
+        "h1 --weight -5,5,0 --p 5 --json",
+        "h1 --weight 0,2,0,0 --p 5 --json",
+        "roots --type GL --n 2",
+    ]
+    quoted = [
+        'h1 --weight "1,2,3" --p 5 --json',
+        "h1 --weight '-5,5,0' --p 5 --json",
+        "h1 --weight 0\\,2\\,0\\,0 --p 5\t--json",
+        "roots '--type' GL --n \"2\"",
+    ]
+    outputs = []
+    for lines in (plain, quoted):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outputs.append(run_cli(capsys, "--batch", str(batch)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 2 and outputs[0][2] == ""
+    assert outputs[0][1].count("\n") == 7  # three envelopes, four roots lines
