@@ -19,6 +19,7 @@ line, in order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import shlex
@@ -61,6 +62,50 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = None if args is None or namespace is not None else self._parse_exact(args)
+        return parsed if parsed is not None else super().parse_args(args, namespace)
+
+    def _parse_exact(self, words: Sequence[str]) -> Optional[argparse.Namespace]:
+        """The namespace argparse builds from ``words``, when they are a run of
+        exact ``--option value`` and ``--flag`` words; otherwise None.
+
+        One lookup in argparse's own option table per option word.  Anything
+        else (a prefix, ``--opt=value``, help, ``--``, a dash-led value, a
+        missing or unconvertible value, a missing required option, a parser
+        with positionals) returns None: argparse then parses the words and
+        reports any error itself.
+        """
+        seen = {}
+        i, n = 0, len(words)
+        while i < n:
+            action = self._option_string_actions.get(words[i])
+            if action is None:
+                return None
+            if action.nargs == 0 and isinstance(action, argparse._StoreConstAction):
+                seen[action.dest] = action.const
+                i += 1
+                continue
+            if type(action) is not argparse._StoreAction or i + 1 == n:
+                return None
+            word = words[i + 1]
+            if word[:1] == "-" and not self._negative_number_matcher.match(word):
+                return None
+            try:
+                seen[action.dest] = self._registry_get("type", action.type, action.type)(word)
+            except ValueError:
+                return None
+            i += 2
+        namespace = argparse.Namespace()
+        for action in self._actions:
+            if action.dest in seen:
+                setattr(namespace, action.dest, seen[action.dest])
+            elif not action.option_strings or action.required:
+                return None  # argparse would give this positional a word, or reject the line
+            elif action.default is not argparse.SUPPRESS:
+                setattr(namespace, action.dest, action.default)
+        return namespace
+
 
 # A quote, a backslash or whitespace other than space and tab: the only
 # characters on which shlex.split (posix, no commenters) and str.split differ.
@@ -70,6 +115,14 @@ _NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t]")
 def _split_line(line: str) -> list[str]:
     """``shlex.split(line)``, by ``str.split`` when no character needs shlex."""
     return shlex.split(line) if _NEEDS_SHLEX.search(line) else line.split()
+
+
+def _batch_words(line: str) -> list[str]:
+    """The words of a batch line; an unclosed quote or a trailing escape is a usage error."""
+    try:
+        return _split_line(line)
+    except ValueError as exc:
+        raise UsageError(f"cannot split batch line: {exc}") from None
 
 
 def _gl_weight(args) -> Weight:
@@ -358,34 +411,45 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(add_help: bool = True) -> _Parser:
+    """The top-level parser; ``parser.subcommands`` maps names to subparsers.
+
+    A batch builds it with ``add_help=False``, so that a help request in a
+    batch line is an unknown option, one error line, and the next line runs.
+    """
     # No prefix matching at the top level: "--bat FILE" is an error, not --batch.
-    parser = _Parser(prog="charpflag", description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = _Parser(
+        prog="charpflag",
+        description=__doc__.splitlines()[0],
+        allow_abbrev=False,
+        add_help=add_help,
+    )
     parser.add_argument("--batch", metavar="FILE", help="evaluate one query per line of FILE")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    add_parser = functools.partial(sub.add_parser, add_help=add_help)
 
-    p_roots = sub.add_parser("roots", help="root datum summary")
+    p_roots = add_parser("roots", help="root datum summary")
     p_roots.add_argument("--type", required=True, help="GL | SL | Sp | SO_odd | SO_even | torus")
     p_roots.add_argument("--n", required=True, type=int, help="lattice rank")
 
-    p_h1 = sub.add_parser("h1", help="H^1 status of a line bundle weight on GL_N/B")
+    p_h1 = add_parser("h1", help="H^1 status of a line bundle weight on GL_N/B")
     p_h1.add_argument("--weight", required=True, help="comma-separated integer coordinates")
     p_h1.add_argument("--p", required=True, type=int, help="prime characteristic")
     p_h1.add_argument("--N", type=int, help="rank of the GL datum (default: weight length)")
 
-    p_bwb = sub.add_parser("bwb0", help="characteristic-zero cohomology oracle")
+    p_bwb = add_parser("bwb0", help="characteristic-zero cohomology oracle")
     p_bwb.add_argument("--weight", required=True, help="comma-separated integer coordinates")
     p_bwb.add_argument("--N", type=int, help="rank of the GL datum (default: weight length)")
 
-    p_gc = sub.add_parser("grassmann-check", help="non-liftability certificate for P(F*S)")
+    p_gc = add_parser("grassmann-check", help="non-liftability certificate for P(F*S)")
     p_gc.add_argument("--d", required=True, type=int, help="tautological bundle rank, 2 <= d <= N-2")
     p_gc.add_argument("--N", required=True, type=int, help="ambient dimension")
     p_gc.add_argument("--p", required=True, type=int, help="prime characteristic, p >= 5")
 
-    p_iso = sub.add_parser("isogeny-check", help="validate rigidified morphism data from JSON")
+    p_iso = add_parser("isogeny-check", help="validate rigidified morphism data from JSON")
     p_iso.add_argument("--file", required=True, help="path to the morphism description")
 
-    p_rig = sub.add_parser("rigidity", help="Frobenius rigidity verdict")
+    p_rig = add_parser("rigidity", help="Frobenius rigidity verdict")
     p_rig.add_argument("--type", required=True, help="GL | SL | Sp | SO_odd | SO_even | torus")
     p_rig.add_argument("--n", required=True, type=int, help="lattice rank")
     p_rig.add_argument("--ring", required=True, help="base ring characteristic: 0, p, or p^N")
@@ -410,7 +474,12 @@ def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
         args.command = argv[0]
     else:
         option = argv[0].split("=", 1)[0] if argv else ""
-        if option.startswith("--") and option not in ("--", "--batch", "--help"):
+        if (
+            option[:1] == "-"
+            and option not in ("-", "--")
+            and option not in parser._option_string_actions
+            and not parser._negative_number_matcher.match(option)
+        ):
             raise UsageError(f"unrecognized option {option!r}")
         args = parser.parse_args(argv)
         if args.batch is not None:  # main reads a leading --batch itself
@@ -442,9 +511,10 @@ def _run_single(parser: _Parser, argv: Sequence[str], compact_json: bool) -> int
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    batch = bool(argv) and argv[0].split("=", 1)[0] == "--batch"
+    parser = build_parser(add_help=not batch)
     try:
-        if argv and argv[0].split("=", 1)[0] == "--batch":
+        if batch:
             # "--batch FILE" or "--batch=FILE"
             batch_args = argv[0].split("=", 1)[1:] + argv[1:]
             if len(batch_args) != 1:
@@ -460,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    code = _run_single(parser, _split_line(line), compact_json=True)
+                    code = _run_single(parser, _batch_words(line), compact_json=True)
                 except (UsageError, CharpFlagError) as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     code = EXIT_USAGE

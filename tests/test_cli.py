@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -622,6 +623,17 @@ def test_unknown_leading_option_is_named(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--batch", str(batch))
     assert (code, err) == (1, "error: unrecognized option '--frob'\n")
     assert out.startswith("weight: (0, 0)")
+    for argv in (["-x", "FILE"], ["-x=1", "h1"], ["-hx"]):
+        assert run_cli(capsys, *argv) == (
+            1,
+            "",
+            f"usage error: unrecognized option {argv[0].split('=')[0]!r}\n",
+        )
+    # A leading negative number, "-" and "--" are not options: argparse names them.
+    for word in ("-5", "-", "--"):
+        code, out, err = run_cli(capsys, word, "FILE")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: argument command: invalid choice: {word!r}")
 
 
 def test_help_still_prints_usage(capsys):
@@ -650,6 +662,53 @@ def test_nested_batch_line_is_an_error_and_the_next_line_runs(capsys, tmp_path):
     assert code == 1
     assert err == "error: --batch cannot be used inside a batch file\n" * 2
     assert [json.loads(line)["command"] for line in out.splitlines()] == ["h1"]
+
+
+def test_unclosed_quote_is_an_error_line_and_the_next_line_runs(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        'h1 --weight "1,2 --p 5\nh1 --weight 0,0 --p 5 --json\nh1 --p 5 --weight 0\\\n',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err == (
+        "error: cannot split batch line: No closing quotation\n"
+        "error: cannot split batch line: No escaped character\n"
+    )
+    assert json.loads(out)["result"]["status"] == "zero"
+
+
+def test_help_in_a_batch_line_is_an_error_and_the_next_line_runs(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "h1 --weight 0,0 --p 5\nh1 -h\nh1 --weight 0,2,0,0 --p 5\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err == "error: the following arguments are required: --weight, --p\n"
+    assert out.startswith("weight: (0, 0)") and "weight: (0, 2, 0, 0)" in out
+    assert "usage:" not in out
+    batch.write_text(
+        "h1 --weight 0,0 --p 5 -h\n"
+        "h1 --weight 0,0 --p 5 --help\n"
+        "h1 --weight 0,0 --p 5 --he\n"
+        "-h\n"
+        "--help\n"
+        "h1 --weight 0,0 --p 5 --json\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err.splitlines() == [
+        "error: unrecognized arguments: -h",
+        "error: unrecognized arguments: --help",
+        "error: unrecognized arguments: --he",
+        "error: unrecognized option '-h'",
+        "error: unrecognized option '--help'",
+    ]
+    assert json.loads(out)["result"]["status"] == "zero"
 
 
 # ---------------------------------------------------------------------------
@@ -740,3 +799,88 @@ def test_quoted_and_escaped_batch_lines_print_the_same_bytes(capsys, tmp_path):
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 2 and outputs[0][2] == ""
     assert outputs[0][1].count("\n") == 7  # three envelopes, four roots lines
+
+
+# ---------------------------------------------------------------------------
+# the exact-option pass of _Parser.parse_args
+
+# Option values of every kind argparse treats specially: dash-led words,
+# "--", non-ASCII digits, underscores, signs, leading zeros, blanks.
+EXACT_PASS_VALUES = [
+    "5", "-5", "-", "--", "-x", "\u0663", "1_0", "+5", "07", "", "5 ", "1,2", "-5,5,0", "GL", "p^2",
+]
+_SUBPARSERS = cli.build_parser().subcommands
+
+
+def _exact_pass_argv(parser):
+    """Option words of ``parser`` in any order, each with or without a value.
+
+    Every required option is there with a value (on half the lines all but
+    one), so that the exact pass accepts a share of the lines.
+    """
+    value = st.sampled_from(EXACT_PASS_VALUES)
+    required = [action.option_strings[0] for action in parser._actions if action.required]
+    options = sorted(parser._option_string_actions)
+
+    def argv(values, drop_one, extra, rng):
+        pairs = [(name, v, True) for name, v in zip(required, values)][drop_one:] + extra
+        rng.shuffle(pairs)
+        return [word for name, v, valued in pairs for word in (name, v)[: 1 + valued]]
+
+    return st.builds(
+        argv,
+        st.tuples(*[value for _ in required]),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from(options), value, st.booleans()), max_size=3),
+        st.randoms(use_true_random=False),
+    )
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+@seed(20181028)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exact_pass_builds_the_namespace_argparse_builds(command, data):
+    sub = _SUBPARSERS[command]
+    argv = data.draw(_exact_pass_argv(sub))
+    exact = sub._parse_exact(argv)
+    if exact is not None:
+        assert vars(exact) == vars(argparse.ArgumentParser.parse_args(sub, argv))
+
+
+def test_exact_pass_never_takes_the_top_level_parser():
+    parser = cli.build_parser()
+    for argv in (["h1", "--weight", "0", "--p", "5"], ["--batch", "x"], []):
+        assert parser._parse_exact(argv) is None
+
+
+def test_every_benchmark_line_shape_takes_the_exact_pass(capsys, tmp_path, monkeypatch):
+    morphism = _write_morphism(tmp_path, _gl3_identity_morphism())
+    lines = [
+        "h1 --weight 1,2,3 --p 5",
+        "h1 --weight -5,5,0,0 --p 5 --json",
+        "h1 --weight 0,0,0 --p 7 --N 3 --json",
+        "bwb0 --weight 4,2,1,0",
+        "bwb0 --weight -3,7,0 --json",
+        "roots --type GL --n 3",
+        "roots --type SO_odd --n 2 --json",
+        "rigidity --type Sp --n 2 --ring p^2 --p 5",
+        "rigidity --type torus --n 2 --ring 0 --p 3 --json",
+        "grassmann-check --d 2 --N 6 --p 5",
+        "grassmann-check --d 2 --N 6 --p 7 --json",
+        f"isogeny-check --file {morphism}",
+        f"isogeny-check --file {morphism} --json",
+    ]
+    batch = tmp_path / "queries.txt"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = run_cli(capsys, "--batch", str(batch))
+    assert expected[2] == "" and expected[1].count("{") >= 6
+
+    def general_parse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args!r}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", general_parse)
+    assert run_cli(capsys, "--batch", str(batch)) == expected
+    # The fallback still runs through argparse: this line is not exact.
+    with pytest.raises(AssertionError, match="argparse parsed"):
+        main(["h1", "--weig", "0", "--p", "5"])
