@@ -29,7 +29,6 @@ from .lattice import (
     Root,
     RootDatum,
     Weight,
-    WeylElement,
     cartan_column,
     custom_datum,
     dot_reflect,
@@ -100,7 +99,6 @@ __all__ = [
     "Root",
     "RootDatum",
     "Weight",
-    "WeylElement",
     "cartan_column",
     "custom_datum",
     "dot_reflect",

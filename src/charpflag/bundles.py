@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DatumMismatchError, NotPrimeError, RankRangeError
-from .arith import is_prime
+from .errors import DatumMismatchError, RankRangeError
+from .arith import require_prime
 from .lattice import RootDatum, Weight, make_datum
 
 
@@ -66,8 +66,7 @@ def tautological_weights(d: int, n: int) -> EquivariantBundleWeights:
 
 def frobenius_twist(bundle: EquivariantBundleWeights, p: int) -> EquivariantBundleWeights:
     """Frobenius pullback: every weight multiplied by p, rank unchanged."""
-    if not is_prime(p):
-        raise NotPrimeError(f"Frobenius twist needs a prime p, got {p}")
+    require_prime(p)
     return EquivariantBundleWeights(
         datum=bundle.datum,
         weights=tuple(p * w for w in bundle.weights),

@@ -465,9 +465,12 @@ def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
     """The namespace of one query, from a single parse.
 
     When argv[0] names a subcommand, that subcommand's parser reads the rest,
-    as the top-level parser would hand it every later word.  Otherwise the
-    top-level parser reads argv and must yield a subcommand.
+    as the top-level parser would hand it every later word; a leading "--"
+    before a subcommand ends the top-level options and is dropped.
+    Otherwise the top-level parser reads argv and must yield a subcommand.
     """
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in parser.subcommands:
+        argv = argv[1:]
     subparser = parser.subcommands.get(argv[0]) if argv else None
     if subparser is not None:
         args = subparser.parse_args(argv[1:])

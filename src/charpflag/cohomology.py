@@ -19,7 +19,8 @@ from typing import Iterable, Optional
 
 from .errors import DomainError, InternalInconsistencyError, UnsupportedDatumError
 from .arith import require_prime
-from .lattice import Root, RootDatum, Weight, cartan_column, dynkin_labels, is_dominant, pairing
+from .lattice import Root, RootDatum, Weight, cartan_column, dynkin_labels, is_dominant
+from .lattice import pairing, positive_root_sum
 
 
 def _require_type_a(datum: RootDatum) -> None:
@@ -325,15 +326,10 @@ def weyl_dim(lam: Weight) -> int:
     """
     if not is_dominant(lam):
         raise DomainError(f"weyl_dim requires a dominant weight, got {lam!r}")
-    datum = lam.datum
-    rho2 = [0] * datum.rank  # twice the half sum = sum of positive roots
-    for beta in datum.positive_roots:
-        for i, c in enumerate(beta.vector.coords):
-            rho2[i] += c
-    rho2_w = datum.weight(rho2)
+    rho2 = positive_root_sum(lam.datum)  # twice the half sum
     num = den = 1
-    for beta in datum.positive_roots:
-        b = pairing(rho2_w, beta)
+    for beta in lam.datum.positive_roots:
+        b = pairing(rho2, beta)
         num *= 2 * pairing(lam, beta) + b
         den *= b
     q, r = divmod(num, den)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
+from math import factorial
 from operator import add, mul, neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -315,12 +316,12 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         if other.datum is not self.datum:
-            _same_datum(self, other)
+            raise _mismatch(self, other)
         return _trusted_weight(tuple(map(add, self.coords, other.coords)), self.datum)
 
     def __sub__(self, other: "Weight") -> "Weight":
         if other.datum is not self.datum:
-            _same_datum(self, other)
+            raise _mismatch(self, other)
         return _trusted_weight(tuple(map(sub, self.coords, other.coords)), self.datum)
 
     def __neg__(self) -> "Weight":
@@ -444,11 +445,8 @@ class Root:
         return f"Root({self.vector.coords}, coroot={self.coroot})"
 
 
-def _same_datum(a, b) -> None:
-    da = a.datum if not isinstance(a, RootDatum) else a
-    db = b.datum if not isinstance(b, RootDatum) else b
-    if da is not db:
-        raise DatumMismatchError(f"operands live in different data: {da.name} vs {db.name}")
+def _mismatch(a, b) -> DatumMismatchError:
+    return DatumMismatchError(f"operands live in different data: {a.datum.name} vs {b.datum.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +457,7 @@ def pairing(lam: Weight, alpha: Root) -> int:
     """The canonical pairing <lam, alpha^vee>, an exact integer."""
     datum = lam.datum
     if alpha.datum is not datum:
-        _same_datum(lam, alpha)
+        raise _mismatch(lam, alpha)
     coords = lam.coords
     num = 0
     for i, c in alpha.co_support:
@@ -542,116 +540,50 @@ def is_dominant(lam: Weight) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Weyl group machinery
+# The Weyl group
 
 
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    """Signed permutation acting on weight coordinates.
+def positive_root_sum(datum: RootDatum) -> Weight:
+    """2 rho, the sum of the positive roots."""
+    return sum((beta.vector for beta in datum.positive_roots), datum.zero())
 
-    ``images[i] = +-(j+1)`` means coordinate position i is sent to
-    position j with the given sign; for type A all signs are positive.
-    The SL action permutes and then re-canonicalizes.
+
+def weyl_group(datum: RootDatum) -> frozenset[Weight]:
+    """The Weyl group W as the W-orbit of 2 rho, one weight per element.
+
+    2 rho, the sum of the positive roots, is a lattice point that pairs to
+    2 with every simple coroot, so it is regular, and W acts simply
+    transitively on the Weyl chambers (Bourbaki, *Lie* VI 1.5).  The orbit
+    is the closure of 2 rho under ``reflect`` by the simple roots; it never
+    reads the Weyl vector, so its size checks ``weyl_group_order``.  Bounded
+    at rank ``WEYL_GROUP_MAX_RANK`` and, so that custom data with an infinite
+    group raise, at 2^n n! weights, the largest classical W of rank n.
     """
-
-    images: tuple[int, ...]
-    datum: RootDatum
-
-    def apply(self, lam: Weight) -> Weight:
-        _same_datum(lam, self.datum)
-        out = [0] * self.datum.rank
-        for i, im in enumerate(self.images):
-            if im > 0:
-                out[im - 1] = lam.coords[i]
-            else:
-                out[-im - 1] = -lam.coords[i]
-        return Weight(tuple(out), self.datum)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """Composition self o other (other acts first)."""
-        _same_datum(self.datum, other.datum)
-        imgs = []
-        for im_o in other.images:
-            im_s = self.images[abs(im_o) - 1]
-            imgs.append(im_s if im_o > 0 else -im_s)
-        return WeylElement(tuple(imgs), self.datum)
-
-    def is_identity(self) -> bool:
-        return all(im == i + 1 for i, im in enumerate(self.images))
-
-    def __repr__(self) -> str:
-        return f"WeylElement({self.images} @ {self.datum.name})"
-
-
-def identity_element(datum: RootDatum) -> WeylElement:
-    return WeylElement(tuple(range(1, datum.rank + 1)), datum)
-
-
-def simple_reflection_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
-    """Weyl group generators matching ``datum.simple_roots`` in order.
-
-    Each is derived from its root's supports: s_alpha sends e_i to
-    e_i - (c_i/den) alpha for each coroot coordinate c_i, and must be a
-    signed permutation of the coordinates.  For SL, alpha is the zero-sum
-    lift, and ``apply`` restores the canonical last coordinate.
-    """
-    den = datum.pairing_denominator
-    gens = []
-    for alpha in datum.simple_roots:
-        columns = {}
-        for i, c in alpha.co_support:
-            column = {i: 1}
-            for j, a in alpha.support:
-                shift, r = divmod(c * a, den)
-                if r:
-                    raise NonSimpleRootError(
-                        f"reflection by {alpha.vector.coords} is not integral on {datum.name}"
-                    )
-                column[j] = column.get(j, 0) - shift
-            columns[i] = column
-        images = list(range(1, datum.rank + 1))
-        for i, column in columns.items():
-            nonzero = [(j, v) for j, v in column.items() if v]
-            if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-                raise NonSimpleRootError(
-                    f"reflection by {alpha.vector.coords} is not a signed permutation"
-                )
-            j, v = nonzero[0]
-            images[i] = (j + 1) * v
-        g = WeylElement(tuple(images), datum)
-        if g.apply(alpha.vector) != -alpha.vector:
-            raise InternalInconsistencyError(
-                f"Weyl generator {g.images} does not negate the simple root "
-                f"{alpha.vector.coords} of {datum.name}"
+    n = datum.rank
+    if n > WEYL_GROUP_MAX_RANK:
+        raise RankRangeError(f"rank {n} exceeds the Weyl group bound {WEYL_GROUP_MAX_RANK}")
+    two_rho = positive_root_sum(datum)
+    labels = dynkin_labels(two_rho)
+    for k, alpha in enumerate(datum.simple_roots):
+        if labels.get(k, 0) < 1:
+            raise datum._invalid(
+                f"the positive roots sum to {two_rho.coords}, which pairs to "
+                f"{labels.get(k, 0)} with the simple root {alpha.vector.coords}: not regular"
             )
-        gens.append(g)
-    return tuple(gens)
-
-
-def weyl_group(datum: RootDatum) -> frozenset[WeylElement]:
-    """The full Weyl group, by closure of the simple reflections.
-
-    Bounded at rank ``WEYL_GROUP_MAX_RANK``: non-A families grow like
-    2^n n!.  ``weyl_group_order`` gives the order at any rank.
-    """
-    if datum.rank > WEYL_GROUP_MAX_RANK:
-        raise RankRangeError(
-            f"rank {datum.rank} exceeds the Weyl group bound {WEYL_GROUP_MAX_RANK}"
-        )
-    gens = simple_reflection_elements(datum)
-    ident = identity_element(datum)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                c = g * w
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
+    bound = 2**n * factorial(n)
+    orbit, frontier = {two_rho}, [two_rho]
+    for lam in frontier:  # breadth first: the frontier grows while it is read
+        for alpha in datum.simple_roots:
+            w = reflect(lam, alpha)
+            if w not in orbit:
+                if len(orbit) == bound:
+                    raise UnsupportedDatumError(
+                        f"the Weyl group of {datum.name} has more than {bound} elements, "
+                        f"more than any classical datum of rank {n}"
+                    )
+                orbit.add(w)
+                frontier.append(w)
+    return frozenset(orbit)
 
 
 def weyl_group_order(datum: RootDatum) -> int:

@@ -50,7 +50,7 @@ def test_frobenius_twist_scales_weights():
 
 def test_unit_twist_needs_the_explicit_flag():
     b = tautological_weights(2, 4)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(NotPrimeError, match="is not prime"):
         frobenius_twist(b, 1)
 
 

@@ -636,6 +636,28 @@ def test_unknown_leading_option_is_named(capsys, tmp_path):
         assert err.startswith(f"usage error: argument command: invalid choice: {word!r}")
 
 
+def test_a_leading_double_dash_before_a_subcommand_is_dropped(capsys, tmp_path):
+    query = ["h1", "--weight", "0,0", "--p", "5"]
+    expected = run_cli(capsys, *query)
+    assert expected[0] == 0
+    assert run_cli(capsys, "--", *query) == expected
+    batch = tmp_path / "queries.txt"
+    batch.write_text("-- h1 --weight 0,0 --p 5\n--\n-- bogus\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert (code, out) == (1, expected[1])
+    assert err.splitlines() == [
+        "error: unrecognized arguments: --",
+        "error: argument command: invalid choice: '--' (choose from 'roots', 'h1', 'bwb0', "
+        "'grassmann-check', 'isogeny-check', 'rigidity')",
+    ]
+    # "--" before anything but a subcommand keeps its messages.
+    assert run_cli(capsys, "--") == (1, "", "usage error: unrecognized arguments: --\n")
+    for rest in (["bogus"], ["--batch", "x"]):
+        code, out, err = run_cli(capsys, "--", *rest)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument command: invalid choice: '--'")
+
+
 def test_help_still_prints_usage(capsys):
     for argv in (["-h"], ["--help"]):
         with pytest.raises(SystemExit) as exc:

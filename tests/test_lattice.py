@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ from charpflag import (
     LatticeMembershipError,
     NonSimpleRootError,
     RankRangeError,
+    UnsupportedDatumError,
     Weight,
     custom_datum,
     dot_reflect,
@@ -27,7 +29,7 @@ from charpflag import (
     weyl_group_order,
 )
 from charpflag import lattice
-from charpflag.lattice import MAX_RANK, identity_element, simple_reflection_elements
+from charpflag.lattice import MAX_RANK
 
 from conftest import CLASSICAL_FAMILIES, FAMILY_MIN_RANK, datum_weights, weight_root_pairs
 
@@ -464,58 +466,35 @@ def test_weyl_group_orders_other_families():
 
 
 def test_weyl_group_acts_faithfully_on_a_generic_weight():
+    # 2 rho of GL(4) is (3, 1, -1, -3), and W = S_4 permutes its coordinates.
     datum = make_datum("GL", 4)
-    generic = datum.weight((8, 4, 2, 1))
-    images = {w.apply(generic) for w in weyl_group(datum)}
-    assert len(images) == 24
+    assert weyl_group(datum) == {datum.weight(c) for c in itertools.permutations((3, 1, -1, -3))}
 
 
-def test_weyl_action_preserves_the_root_set():
-    for datum in (make_datum("GL", 3), make_datum("Sp", 2), make_datum("SO_odd", 2)):
-        vectors = {r.vector for r in datum.roots}
-        for w in weyl_group(datum):
-            assert {w.apply(v) for v in vectors} == vectors
+def test_each_weyl_group_orbit_has_one_dominant_weight():
+    data = [make_torus(n) for n in range(1, 6)] + list(_all_small_datums(max_rank=5))
+    data += [make_datum(family, 1) for family in ("GL", "SL")]
+    for datum in data:
+        dominant = [w for w in weyl_group(datum) if is_dominant(w)]
+        assert len(dominant) == 1, datum.name
 
 
-def test_generators_match_simple_reflections():
-    for datum in _all_small_datums(max_rank=4):
-        for g, alpha in zip(simple_reflection_elements(datum), datum.simple_roots):
-            for coords in [(1, 0) + (0,) * (datum.rank - 2), (3, 1) + (2,) * (datum.rank - 2)]:
-                if datum.family == "SO_odd":
-                    coords = tuple(2 * c for c in coords)
-                w = datum.weight(coords)
-                assert g.apply(w) == reflect(w, alpha), (datum.name, alpha)
+def test_weyl_group_needs_a_regular_sum_of_positive_roots():
+    # The positive roots (1, 0) and (-2, 0) sum to (-1, 0), which pairs to -2
+    # with the simple coroot (2, 0).
+    datum = custom_datum(2, [((1, 0), (2, 0)), ((-2, 0), (-1, 0))], [(1, 0)])
+    with pytest.raises(InvalidRootDatumError, match="pairs to -2 with the simple root"):
+        weyl_group(datum)
 
 
-@pytest.mark.parametrize(
-    "root,coroot,denominator,what",
-    [
-        ((1, 2), (2, 2), 3, "reflection by (1, 2) is not integral on custom"),
-        ((2, 1), (1, 0), 1, "reflection by (2, 1) is not a signed permutation"),
-    ],
-    ids=["not_integral", "not_a_signed_permutation"],
-)
-def test_custom_reflections_must_be_integral_signed_permutations(root, coroot, denominator, what):
-    datum = custom_datum(2, [(root, coroot)], [root], pairing_denominator=denominator)
-    with pytest.raises(NonSimpleRootError, match=re.escape(what)):
-        simple_reflection_elements(datum)
-
-
-def test_composition_against_identity():
-    datum = make_datum("GL", 3)
-    e = identity_element(datum)
-    for g in simple_reflection_elements(datum):
-        assert g * e == g
-        assert e * g == g
-        assert (g * g).is_identity()
-
-
-def test_composition_is_associative():
-    gens = simple_reflection_elements(make_datum("Sp", 3))
-    for a in gens:
-        for b in gens:
-            for c in gens:
-                assert (a * b) * c == a * (b * c)
+def test_weyl_group_of_an_infinite_reflection_group_is_bounded():
+    # Cartan matrix [[2, -3], [-3, 2]]: a hyperbolic, infinite Coxeter group;
+    # the third positive root makes the sum of positive roots (-1, -1) regular.
+    datum = custom_datum(
+        2, [((1, 0), (2, -3)), ((0, 1), (-3, 2)), ((-2, -2), (-1, 0))], [(1, 0), (0, 1)]
+    )
+    with pytest.raises(UnsupportedDatumError, match="more than 8 elements"):
+        weyl_group(datum)
 
 
 def test_weyl_group_enumeration_is_bounded_at_rank_8():

@@ -69,6 +69,12 @@ def test_weyl_group_order_of_custom_rank_one_data():
         weyl_group_order(_pgl2_datum())
 
 
+def test_adjoint_rank_one_weyl_group_is_an_orbit_of_two():
+    # The orbit of 2 rho needs no Weyl vector, unlike the Kostant order.
+    pgl2 = _pgl2_datum()
+    assert weyl_group(pgl2) == {pgl2.weight((1,)), pgl2.weight((-1,))}
+
+
 def test_sl2_to_pgl2_quotient_data():
     sl2, pgl2 = _sl2_datum(), _pgl2_datum()
     for ring in RINGS:

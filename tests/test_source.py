@@ -2,6 +2,9 @@
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import charpflag
@@ -39,3 +42,24 @@ def test_package_raises_no_builtin_exceptions():
             if isinstance(cls, type) and issubclass(cls, Exception):
                 found.append(f"{name}:{node.lineno} raises {cls.__name__}")
     assert found == []
+
+
+def test_the_benchmark_tracer_still_binds_weyl_group():
+    # perfbench/tracer.py wraps package functions by name; a fresh
+    # interpreter shows whether the names it binds still exist.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench')\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer(); tracer.install()\n"
+        "from charpflag import make_datum, weyl_group\n"
+        "weyl_group(make_datum('GL', 3))\n"
+        "print(tracer.calls['lattice.weyl_group'])\n"
+    )
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1\n"
