@@ -159,7 +159,7 @@ def _decimal(digits: str, what: str) -> int:
 
 def _parse_ring_spec(spec: str, p: int) -> RingChar:
     s = spec.strip().lower()
-    if s in ("0", "zero"):
+    if s == "zero":
         return RingChar.zero()
     if s in ("p", "prime"):
         return RingChar.prime(p)
@@ -169,6 +169,8 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
         return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
     if s.isdigit():
         value = _decimal(s, "ring characteristic")
+        if value == 0:  # any spelling: 0, 00, ...
+            return RingChar.zero()
         if value < 2:
             raise UsageError(f"ring characteristic {value} must be 0 or a prime power")
         split = prime_power_base(value)

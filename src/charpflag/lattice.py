@@ -106,7 +106,6 @@ class RootDatum:
         "weyl_vector",
         "pairing_denominator",
         "name",
-        "_simple_set",
         "_coroot_index",
         "_root_supports",
         "_root_lists",
@@ -137,29 +136,49 @@ class RootDatum:
             raise self._invalid(f"pairing denominator must be >= 1, got {pairing_denominator}")
         self._root_supports = root_supports
         self._root_lists = None
-        self.simple_roots = tuple(Root(self, sup, co) for sup, co in simple_pairs)
-        self._simple_set = frozenset(self.simple_roots)
-        # Coordinate i -> the k whose simple coroot has a nonzero i-th
-        # coordinate, so that labels cost O(|supp lam|).
-        index = [()] * rank
-        for k, a in enumerate(self.simple_roots):
-            for i, _ in a.co_support:
-                index[i] += (k,)
-        self._coroot_index = tuple(index)
         if weyl_vector_coords is None:
-            self.weyl_vector = None
+            self.weyl_vector, rho = None, (0,) * rank
         else:
             self.weyl_vector = Weight(tuple(weyl_vector_coords), self)
-        self._check_roots(self.simple_roots)
-        if self.weyl_vector is not None:
             rho = self.weyl_vector.coords
-            for a in self.simple_roots:
-                num = sum(rho[i] * c for i, c in a.co_support)
-                if num != self.pairing_denominator:
-                    raise self._invalid(
-                        f"Weyl vector pairs to {Fraction(num, self.pairing_denominator)} "
-                        f"!= 1 with simple root {a.vector.coords}"
-                    )
+        # One pass over the simple roots builds each root, checks
+        # <alpha, alpha^vee> = 2 (``_sparse_dot``, inlined), fills the index
+        # from coordinate i to the k whose simple coroot has a nonzero i-th
+        # coordinate, so that labels cost O(|supp lam|), and pairs the Weyl
+        # vector with the coroot.  A Weyl vector that fails is reported only
+        # after every root check, the lattice checks included, has passed.
+        two = 2 * pairing_denominator
+        simple, index, off_rho = [], [()] * rank, None
+        for k, (sup, co) in enumerate(simple_pairs):
+            a = Root(self, sup, co)
+            simple.append(a)
+            norm = num = 0
+            for i, c in co:
+                index[i] += (k,)
+                num += rho[i] * c
+                for j, d in sup:
+                    if i == j:
+                        norm += d * c
+            if norm != two:
+                raise self._invalid(f"<alpha, alpha^vee> != 2 for {a!r}")
+            if num != pairing_denominator and off_rho is None and self.weyl_vector is not None:
+                off_rho = num, a
+        self.simple_roots = tuple(simple)
+        self._coroot_index = tuple(index)
+        self._check_lattice(self.simple_roots)
+        if off_rho is not None:
+            num, a = off_rho
+            raise self._invalid(
+                f"Weyl vector pairs to {Fraction(num, pairing_denominator)} "
+                f"!= 1 with simple root {a.vector.coords}"
+            )
+
+    def __reduce__(self):
+        # A classical datum pickles as the arguments that build it, so
+        # unpickling returns the handle ``make_datum`` caches in this process.
+        if self.family == "custom":
+            raise UnsupportedDatumError(f"{self.name}: a custom datum cannot be pickled")
+        return make_datum, (self.family, self.rank)
 
     @property
     def positive_roots(self) -> "tuple[Root, ...]":
@@ -231,6 +250,10 @@ class RootDatum:
         for r in roots:
             if _sparse_dot(r.support, r.co_support) != two:
                 raise self._invalid(f"<alpha, alpha^vee> != 2 for {r!r}")
+        self._check_lattice(roots)
+
+    def _check_lattice(self, roots: "Sequence[Root]") -> None:
+        """Check that each root and coroot lies in the family's lattice."""
         if self.family == "SL":
             # The zero-sum lift is unique in its class mod the all-ones
             # vector, so supports then identify roots; zero-sum coroots
@@ -339,6 +362,11 @@ class Weight:
         # datum, which compares by identity, and the read-only labels.
         return self
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, which checks the coordinates again;
+        # the kept labels (a read-only mapping) stay behind.
+        return Weight, (self.coords, self.datum)
+
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -377,7 +405,12 @@ def _negated(support: Support) -> Support:
 
 def _sparse_dot(a: Support, b: Support) -> int:
     # Quadratic in the support sizes, which are at most 2 for classical roots.
-    return sum([c * d for i, c in a for j, d in b if i == j])
+    total = 0
+    for i, c in a:
+        for j, d in b:
+            if i == j:
+                total += c * d
+    return total
 
 
 def _dense(support: Support, rank: int) -> tuple[int, ...]:
@@ -526,7 +559,7 @@ def dot_reflect(lam: Weight, alpha: Root) -> Weight:
     Equals ``reflect(lam + rho, alpha) - rho`` for any rho with
     ``<rho, alpha^vee> = 1``, in particular the datum's Weyl vector.
     """
-    if alpha not in lam.datum._simple_set:
+    if alpha not in lam.datum.simple_roots:
         raise NonSimpleRootError(f"{alpha!r} is not a simple root of {lam.datum.name}")
     return reflect(lam, alpha) - alpha.vector
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,14 @@ def test_certificate_condition_detail_mentions_omitted_hypothesis():
     cert = check_equivariant_smoothness(2, 5, 5)
     assert cert.condition_iii.holds
     assert "omits this" in cert.condition_iii.detail
+
+
+@pytest.mark.parametrize("d,n,p", [(2, 4, 5), (3, 7, 7), (4, 12, 13)])
+def test_certificates_pickle_round_trip(d, n, p):
+    cert = check_equivariant_smoothness(d, n, p)
+    back = pickle.loads(pickle.dumps(cert))
+    assert back == cert
+    assert json.dumps(back.to_json()) == json.dumps(cert.to_json())
 
 
 def test_certificate_json_schema():

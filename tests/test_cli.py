@@ -275,6 +275,23 @@ def test_huge_integers_do_not_stop_a_batch(capsys, tmp_path):
     assert json.loads(out)["result"]["status"] == "zero"
 
 
+@pytest.mark.parametrize("ring", ["00", "000"])
+def test_every_digit_spelling_of_zero_is_characteristic_zero(capsys, ring):
+    args = ("rigidity", "--type", "GL", "--n", "3", "--ring", ring, "--p", "5", "--json")
+    code, payload = run_json(capsys, *args)
+    assert code == 0
+    assert payload["result"] == run_json(capsys, *args[:6], "0", *args[7:])[1]["result"]
+    assert "characteristic 0" in payload["result"]["reason"]
+
+
+def test_ring_characteristic_one_keeps_its_message(capsys):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "1", "--p", "5"
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: ring characteristic 1 must be 0 or a prime power\n"
+
+
 def test_rigidity_ring_p_conflict(capsys):
     code, _, err = run_cli(
         capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "25", "--p", "7"

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -225,15 +226,50 @@ def test_root_pairing_normalization():
         ([((2,), (1,)), ((2,), (1,))], [(2,)], None, "duplicate roots"),
         ([((2,), (1,))], [(4,)], None, "is not a positive root"),
         ([((2,), (1,))], [(2,)], (2,), "Weyl vector pairs to 2"),
+        # Fails both checks: the root check is reported first.
+        ([((1,), (1,))], [(1,)], (5,), "<alpha, alpha^vee> != 2"),
         # Not a simple root: only the full root list shows it, which a
         # custom datum builds and checks when it is built.
         ([((2,), (1,)), ((1,), (1,))], [(2,)], (1,), "<alpha, alpha^vee> != 2 for Root((1,)"),
     ],
-    ids=["pairing_one", "duplicate", "simple_not_positive", "weyl_vector", "non_simple"],
+    ids=[
+        "pairing_one",
+        "duplicate",
+        "simple_not_positive",
+        "weyl_vector",
+        "pairing_one_and_weyl_vector",
+        "non_simple",
+    ],
 )
 def test_invalid_custom_data_raise_a_typed_input_error(positive, simple, weyl, what):
     with pytest.raises(InvalidRootDatumError, match=re.escape(what)):
         custom_datum(1, positive, simple, weyl_vector_coords=weyl)
+
+
+A1 = ((0, 1), (1, -1))
+A2 = ((1, 1), (2, -1))
+
+
+@pytest.mark.parametrize(
+    "family,simple,rho,what",
+    [
+        ("GL", [(A1, ((0, 1),))], (1, 0), "<alpha, alpha^vee> != 2 for Root((1, -1)"),
+        ("GL", [(A1, A1)], (5, 0), "Weyl vector pairs to 5 != 1 with simple root (1, -1)"),
+        # A Weyl vector failing on the first root is reported only after the
+        # root checks have passed on every simple root, the lattice checks too.
+        (
+            "GL",
+            [(A1, A1), (A2, ((1, 1),))],
+            (5, 1, 0),
+            "<alpha, alpha^vee> != 2 for Root((0, 1, -1)",
+        ),
+        ("SL", [(((0, 1),), ((0, 2),))], (5, 0), "nonzero coordinate sum"),
+    ],
+    ids=["pairing_one", "weyl_vector", "weyl_vector_then_pairing_one", "weyl_vector_then_lattice"],
+)
+def test_classical_constructor_checks_every_simple_root(family, simple, rho, what):
+    with pytest.raises(InternalInconsistencyError, match=re.escape(what)):
+        lattice.RootDatum(family, len(rho), simple, rho, lambda: ([], []))
 
 
 def test_custom_datum_rank_must_be_an_integer():
@@ -321,6 +357,24 @@ def test_root_list_lattice_checks(family, pair, what):
     with pytest.raises(InternalInconsistencyError, match=re.escape(what)):
         datum.roots
     assert datum._root_lists is None
+
+
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES + ("Torus",))
+def test_classical_data_unpickle_to_the_same_handle(family):
+    datum = make_datum(family, 3)
+    assert pickle.loads(pickle.dumps(datum)) is datum
+    rho = datum.weyl_vector
+    dynkin_labels(rho)  # kept on rho as a read-only mapping, left out of the pickle
+    back = pickle.loads(pickle.dumps(rho))
+    assert back == rho and back.datum is datum and back._labels is None
+    assert pickle.loads(pickle.dumps(datum.roots)) == datum.roots
+
+
+def test_a_custom_datum_does_not_pickle():
+    datum = custom_datum(1, [((2,), (1,))], [(2,)], weyl_vector_coords=(1,))
+    for value in (datum, datum.weight((2,))):
+        with pytest.raises(UnsupportedDatumError, match="custom datum cannot be pickled"):
+            pickle.dumps(value)
 
 
 def test_custom_data_with_wrong_coordinate_counts_are_rejected():
