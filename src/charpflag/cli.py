@@ -167,7 +167,7 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
     if m:
         k = _decimal(m.group(1), "ring exponent")
         return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
-    if s.isdigit():
+    if s.isdecimal():
         value = _decimal(s, "ring characteristic")
         if value == 0:  # any spelling: 0, 00, ...
             return RingChar.zero()

@@ -90,13 +90,14 @@ class RootDatum:
     Roots are stored sparsely (see ``Root``).  A datum is built from its
     simple roots, each with its coroot, and its Weyl vector, which the
     constructor checks in O(rank).  The full root list comes from the
-    datum's support generator on first access to ``roots`` or
-    ``positive_roots``, and is published only after ``_sanity_check`` has
-    passed on it, so every root a caller sees has been checked.  A
-    certificate on GL(N) reads only the N-1 simple roots and never builds
-    the N(N-1) others.  Instances compare by identity; ``make_datum``
-    caches construction so repeated calls with the same arguments return
-    the same handle.
+    datum's generator of positive (support, coroot support) pairs on first
+    access to ``roots`` or ``positive_roots``; ``_materialize`` checks the
+    positive roots, derives the negatives by negation, and publishes the
+    lists only after every check has passed, so every root a caller sees
+    has been checked.  A certificate on GL(N) reads only the N-1 simple
+    roots and never builds the N(N-1) others.  Instances compare by
+    identity; ``make_datum`` caches construction so repeated calls with
+    the same arguments return the same handle.
     """
 
     __slots__ = (
@@ -107,7 +108,7 @@ class RootDatum:
         "pairing_denominator",
         "name",
         "_coroot_index",
-        "_root_supports",
+        "_positive_pairs",
         "_root_lists",
     )
 
@@ -124,7 +125,7 @@ class RootDatum:
         rank: int,
         simple_pairs: Iterable[RootPair],
         weyl_vector_coords: Optional[tuple[int, ...]],
-        root_supports: Callable[[], tuple[list[RootPair], Iterable[RootPair]]],
+        positive_pairs: Callable[[], Iterable[RootPair]],
         pairing_denominator: int = 1,
         name: Optional[str] = None,
     ):
@@ -134,7 +135,7 @@ class RootDatum:
         self.name = name if name is not None else family
         if pairing_denominator < 1:
             raise self._invalid(f"pairing denominator must be >= 1, got {pairing_denominator}")
-        self._root_supports = root_supports
+        self._positive_pairs = positive_pairs
         self._root_lists = None
         if weyl_vector_coords is None:
             self.weyl_vector, rho = None, (0,) * rank
@@ -244,14 +245,6 @@ class RootDatum:
             return InvalidRootDatumError(f"{self.name}: {message}")
         return InternalInconsistencyError(f"{self.name}: {message}")
 
-    def _check_roots(self, roots: "Sequence[Root]") -> None:
-        """Check <alpha, alpha^vee> = 2 and lattice membership of each root."""
-        two = 2 * self.pairing_denominator
-        for r in roots:
-            if _sparse_dot(r.support, r.co_support) != two:
-                raise self._invalid(f"<alpha, alpha^vee> != 2 for {r!r}")
-        self._check_lattice(roots)
-
     def _check_lattice(self, roots: "Sequence[Root]") -> None:
         """Check that each root and coroot lies in the family's lattice."""
         if self.family == "SL":
@@ -274,35 +267,38 @@ class RootDatum:
     def _materialize(self) -> "tuple[tuple[Root, ...], tuple[Root, ...]]":
         """Generate, check and publish (positive roots, roots).
 
-        The lists are published in one assignment after every check has
-        passed; threads racing here build equal values.
+        The negatives are the negations of the positive roots, in order.
+        Only the positives are checked, since negation keeps
+        <alpha, alpha^vee> = 2 and lattice membership; a support that is
+        the negation of another is a duplicate.  The lists are published in
+        one assignment after every check has passed; threads racing here
+        build equal values.
         """
-        positive_pairs, negative_pairs = self._root_supports()
-        roots = [Root(self, sup, co) for sup, co in positive_pairs]
-        n_positive = len(roots)
-        roots += [Root(self, sup, co) for sup, co in negative_pairs]
-        index = {r.support: k for k, r in enumerate(roots)}
+        positives = [Root(self, sup, co) for sup, co in self._positive_pairs()]
+        index = {r.support: k for k, r in enumerate(positives)}
         for a in self.simple_roots:
             k = index.get(a.support)
-            if k is None or k >= n_positive or roots[k] != a:
+            if k is None or positives[k] != a:
                 raise self._invalid(
                     f"simple root {_dense(a.support, self.rank)} is not a positive root of "
                     f"{self.name}"
                 )
-            roots[k] = a  # one object per simple root, with its dense views
-        self._sanity_check(roots, index)
-        lists = (tuple(roots[:n_positive]), tuple(roots))
+            positives[k] = a  # one object per simple root, with its dense views
+        negatives = []
+        for r in positives:
+            sup = _negated(r.support)
+            co = sup if r.co_support is r.support else _negated(r.co_support)
+            negatives.append(Root(self, sup, co))
+        if len(index) != len(positives) or any(r.support in index for r in negatives):
+            raise self._invalid("duplicate roots")
+        two = 2 * self.pairing_denominator
+        for r in positives:
+            if _sparse_dot(r.support, r.co_support) != two:
+                raise self._invalid(f"<alpha, alpha^vee> != 2 for {r!r}")
+        self._check_lattice(positives)
+        lists = (tuple(positives), tuple(positives + negatives))
         self._root_lists = lists
         return lists
-
-    def _sanity_check(self, roots: "list[Root]", index: dict) -> None:
-        """Check the root-datum axioms on the supports, in O(#roots)."""
-        if len(index) != len(roots):
-            raise self._invalid("duplicate roots")
-        self._check_roots(roots)
-        for r in roots:
-            if _negated(r.support) not in index:
-                raise self._invalid(f"root set not closed under negation at {r!r}")
 
     def to_json(self) -> dict:
         return {"type": self.family, "n": self.rank}
@@ -733,25 +729,7 @@ def _build_datum(family: str, n: int) -> RootDatum:
             list(zip(minus(2), minus(1))) + list(zip(plus(2), plus(1))) + same(single(2))
         )
         den, name = 2, f"SO({2 * n + 1})"
-    return RootDatum(
-        family,
-        n,
-        simples,
-        rho,
-        lambda: _with_negatives(positives()),
-        pairing_denominator=den,
-        name=name,
-    )
-
-
-def _with_negatives(positives: list[RootPair]) -> tuple[list[RootPair], Iterable[RootPair]]:
-    """(positives, negatives): the negation of each positive pair, in order."""
-
-    def negated(sup: Support, co: Support) -> RootPair:
-        neg = _negated(sup)
-        return neg, neg if co is sup else _negated(co)
-
-    return positives, (negated(sup, co) for sup, co in positives)
+    return RootDatum(family, n, simples, rho, positives, pairing_denominator=den, name=name)
 
 
 def custom_datum(
@@ -764,8 +742,8 @@ def custom_datum(
 ) -> RootDatum:
     """A hand-built root datum, e.g. for isogeny sources/targets.
 
-    ``positive_pairs`` lists the positive roots as (vector, coroot);
-    negatives are filled in automatically.  ``weyl_vector_coords`` may be
+    ``positive_pairs`` lists the positive roots as (vector, coroot); the
+    negatives are their negations.  ``weyl_vector_coords`` may be
     omitted for lattices that contain no vector pairing to 1 with every
     simple coroot (adjoint data).  The data come from the caller, so the
     root list is built and checked here: data violating the root-datum
@@ -781,20 +759,22 @@ def custom_datum(
 
     positives = [(support(vec), support(cov)) for vec, cov in positive_pairs]
     coroot_of = dict(positives)
-    simples = []
+    simples = {}
     for coords in simple_coords:
         sup = support(coords)
         if sup not in coroot_of:
             raise InvalidRootDatumError(
                 f"{name}: simple root {_dense(sup, rank)} is not a positive root of {name}"
             )
-        simples.append((sup, coroot_of[sup]))
+        if sup in simples:
+            raise InvalidRootDatumError(f"{name}: simple root {_dense(sup, rank)} is repeated")
+        simples[sup] = coroot_of[sup]
     datum = RootDatum(
         "custom",
         rank,
-        simples,
+        simples.items(),
         weyl_vector_coords,
-        lambda: _with_negatives(positives),
+        lambda: positives,
         pairing_denominator=pairing_denominator,
         name=name,
     )

@@ -214,7 +214,10 @@ def test_criterion_7_soundness_guard(capsys):
     rng = random.Random(99)
     datum = make_datum("GL", 6)
     injected = 0
+    attempts = 0
     while injected < 25:
+        attempts += 1
+        assert attempts < 50_000, "sampling is not converging"
         w = datum.weight([rng.randint(-2, 2) for _ in range(6)])
         p = rng.choice(PRIMES)
         if andersen_h1(w, p).status != "undetermined":

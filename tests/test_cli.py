@@ -292,6 +292,20 @@ def test_ring_characteristic_one_keeps_its_message(capsys):
     assert err == "usage error: ring characteristic 1 must be 0 or a prime power\n"
 
 
+def test_ring_characteristic_takes_only_decimal_digits(capsys):
+    # A superscript is a digit to str.isdigit, but int rejects it.
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "\u00b2", "--p", "5"
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: unrecognized ring characteristic '\u00b2'; use 0, p, or p^N\n"
+    # An Arabic-Indic five is a decimal digit, which int reads as 5.
+    args = ("rigidity", "--type", "GL", "--n", "3", "--ring", "\u0665", "--p", "5", "--json")
+    code, payload = run_json(capsys, *args)
+    assert code == 0
+    assert payload["result"] == run_json(capsys, *args[:6], "5", *args[7:])[1]["result"]
+
+
 def test_rigidity_ring_p_conflict(capsys):
     code, _, err = run_cli(
         capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "25", "--p", "7"
@@ -374,6 +388,14 @@ def test_isogeny_check_custom_rank_one_data(capsys, tmp_path):
     assert payload["result"]["valid"] is True
 
 
+_CUSTOM_SL2 = {
+    "rank": 1,
+    "positive_roots": [{"vector": [2], "coroot": [1]}],
+    "simple_indices": [0],
+    "weyl_vector": [1],
+}
+
+
 def _gl3_identity_morphism(**overrides):
     payload = {
         "source": {"type": "GL", "n": 3},
@@ -401,8 +423,12 @@ def test_isogeny_check_index_list_d_map_is_valid(capsys, tmp_path):
         ({"d_map": [0, 1, 2, 3, 4, -1]}, "d_map entry -1"),
         ({"d_map": [0, 1, 2, 3, 4, 4]}, "not a bijection"),
         ({"q": [1, 1]}, "list of 6 multipliers"),
+        (
+            {"source": dict(_CUSTOM_SL2, simple_indices=[0, 0])},
+            "custom-source: simple root (2,) is repeated",
+        ),
     ],
-    ids=["short_d_map", "negative_index", "non_bijective_d_map", "short_q"],
+    ids=["short_d_map", "negative_index", "non_bijective_d_map", "short_q", "repeated_simple"],
 )
 def test_isogeny_check_rejects_bad_root_lists(capsys, tmp_path, overrides, message):
     path = _write_morphism(tmp_path, _gl3_identity_morphism(**overrides))
@@ -427,14 +453,6 @@ def test_isogeny_check_rejects_a_negative_simple_index(capsys, tmp_path):
     code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
     assert code == 1
     assert err == "usage error: source simple_indices entry -1 is not a positive-root index in 0..1\n"
-
-
-_CUSTOM_SL2 = {
-    "rank": 1,
-    "positive_roots": [{"vector": [2], "coroot": [1]}],
-    "simple_indices": [0],
-    "weyl_vector": [1],
-}
 
 
 def test_isogeny_check_oversized_ring_prime_is_a_one_line_error(capsys, tmp_path):

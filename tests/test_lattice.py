@@ -224,7 +224,10 @@ def test_root_pairing_normalization():
     [
         ([((1,), (1,))], [(1,)], None, "<alpha, alpha^vee> != 2"),
         ([((2,), (1,)), ((2,), (1,))], [(2,)], None, "duplicate roots"),
+        # A root listed together with its negative is a duplicate too.
+        ([((2,), (1,)), ((-2,), (-1,))], [(2,)], (1,), "duplicate roots"),
         ([((2,), (1,))], [(4,)], None, "is not a positive root"),
+        ([((2,), (1,))], [(2,), (2,)], (1,), "simple root (2,) is repeated"),
         ([((2,), (1,))], [(2,)], (2,), "Weyl vector pairs to 2"),
         # Fails both checks: the root check is reported first.
         ([((1,), (1,))], [(1,)], (5,), "<alpha, alpha^vee> != 2"),
@@ -235,7 +238,9 @@ def test_root_pairing_normalization():
     ids=[
         "pairing_one",
         "duplicate",
+        "with_negative",
         "simple_not_positive",
+        "repeated_simple",
         "weyl_vector",
         "pairing_one_and_weyl_vector",
         "non_simple",
@@ -269,7 +274,7 @@ A2 = ((1, 1), (2, -1))
 )
 def test_classical_constructor_checks_every_simple_root(family, simple, rho, what):
     with pytest.raises(InternalInconsistencyError, match=re.escape(what)):
-        lattice.RootDatum(family, len(rho), simple, rho, lambda: ([], []))
+        lattice.RootDatum(family, len(rho), simple, rho, lambda: [])
 
 
 def test_custom_datum_rank_must_be_an_integer():
@@ -302,34 +307,36 @@ def test_root_lists_are_built_on_first_access():
             assert any(beta is alpha for beta in datum.positive_roots)
 
 
-def _drop_last_negative(positives, negatives):
-    return positives, list(negatives)[:-1]
+def _drop_first_simple(positives):
+    return positives[1:]
 
 
-def _drop_first_simple(positives, negatives):
-    return positives[1:], list(negatives)[1:]
+def _repeat_first(positives):
+    return positives + positives[:1]
 
 
-def _repeat_first(positives, negatives):
-    negatives = list(negatives)
-    return positives + positives[:1], negatives + negatives[:1]
+def _append_a_negation(positives):
+    # R+ and -R+ must be disjoint: the negatives are derived, so this is
+    # the only way a negative root can be listed twice.
+    (sup, co), *_ = positives
+    return positives + [(lattice._negated(sup), lattice._negated(co))]
 
 
 @pytest.mark.parametrize("family", CLASSICAL_FAMILIES)
 @pytest.mark.parametrize(
     "corrupt,what",
     [
-        (_drop_last_negative, "not closed under negation"),
         (_drop_first_simple, "is not a positive root"),
         (_repeat_first, "duplicate roots"),
+        (_append_a_negation, "duplicate roots"),
     ],
-    ids=["drop_negative", "drop_simple", "duplicate"],
+    ids=["drop_simple", "duplicate", "negated_positive"],
 )
 def test_a_root_list_failing_its_check_is_never_published(family, corrupt, what):
     # A raised error, not an assert, so that python -O keeps the check.
     datum = _fresh_datum(family, 4)
-    generate = datum._root_supports
-    datum._root_supports = lambda: corrupt(*generate())
+    generate = datum._positive_pairs
+    datum._positive_pairs = lambda: corrupt(generate())
     for _ in range(2):
         with pytest.raises(InternalInconsistencyError, match=what):
             datum.roots
@@ -347,13 +354,8 @@ def test_a_root_list_failing_its_check_is_never_published(family, corrupt, what)
 )
 def test_root_list_lattice_checks(family, pair, what):
     datum = _fresh_datum(family, 3)
-    generate = datum._root_supports
-
-    def with_extra_root():
-        positives, negatives = generate()
-        return lattice._with_negatives(positives + [pair])
-
-    datum._root_supports = with_extra_root
+    generate = datum._positive_pairs
+    datum._positive_pairs = lambda: generate() + [pair]
     with pytest.raises(InternalInconsistencyError, match=re.escape(what)):
         datum.roots
     assert datum._root_lists is None
