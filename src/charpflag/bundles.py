@@ -11,10 +11,11 @@ to the Borel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DatumMismatchError, RankRangeError
 from .arith import require_prime
-from .lattice import RootDatum, Weight, make_datum
+from .lattice import RootDatum, Weight, _shifted, make_datum
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +70,7 @@ def frobenius_twist(bundle: EquivariantBundleWeights, p: int) -> EquivariantBund
     require_prime(p)
     return EquivariantBundleWeights(
         datum=bundle.datum,
-        weights=tuple(p * w for w in bundle.weights),
+        weights=tuple(_shifted(w, _support(w), p - 1) for w in bundle.weights),  # w + (p-1) w
         label=f"F*{bundle.label}",
     )
 
@@ -80,10 +81,17 @@ def end_weights(bundle: EquivariantBundleWeights) -> EquivariantBundleWeights:
     Cardinality is rank^2 and the zero weight occurs at least rank times
     (the diagonal).
     """
-    diffs = tuple(w - v for w in bundle.weights for v in bundle.weights)
+    supports = [_support(v) for v in bundle.weights]
+    diffs = tuple(_shifted(w, sup, -1) for w in bundle.weights for sup in supports)
     return EquivariantBundleWeights(
         datum=bundle.datum, weights=diffs, label=f"End({bundle.label})"
     )
+
+
+def _support(w: Weight) -> list[tuple[int, int]]:
+    """The nonzero coordinates of w as (index, value) pairs."""
+    coords = w.coords
+    return [(i, coords[i]) for i in compress(range(len(coords)), coords)]
 
 
 def pullback_filtration(bundle: EquivariantBundleWeights) -> tuple[Weight, ...]:

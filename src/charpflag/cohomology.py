@@ -19,8 +19,8 @@ from typing import Iterable, Optional
 
 from .errors import DomainError, InternalInconsistencyError, UnsupportedDatumError
 from .arith import require_prime
-from .lattice import Root, RootDatum, Weight, cartan_column, dynkin_labels, is_dominant
-from .lattice import pairing, positive_root_sum
+from .lattice import Root, RootDatum, Weight, _shifted, cartan_column, dynkin_labels
+from .lattice import is_dominant, pairing, positive_root_sum
 
 
 def _require_type_a(datum: RootDatum) -> None:
@@ -216,7 +216,7 @@ def _andersen_one_root(
         s //= p
     if s < p:
         if _shift_is_dominant(labels, negatives, column, t_lam):
-            return H1Status.nonzero(mu + t_lam * alpha.vector)
+            return H1Status.nonzero(_shifted(mu, alpha.support, t_lam))
         return _ZERO
     # Part b): part a) failed, so some digit of m below the top one is < p-1
     # (m = a p^k - 1 exactly when all of them are p-1).  The candidate
@@ -226,14 +226,14 @@ def _andersen_one_root(
     if not _shift_is_dominant(labels, negatives, column, m - m % p**n):
         return _ZERO
     if _shift_is_dominant(labels, negatives, column, t_lam):
-        return H1Status.nonzero(mu + t_lam * alpha.vector)
+        return H1Status.nonzero(_shifted(mu, alpha.support, t_lam))
     m_low = 0
     while digits[m_low] == p - 1:
         m_low += 1
     for j in range(m_low, n + 1):
         tail = m - m % p**j
         if _shift_is_dominant(labels, negatives, column, tail):
-            return H1Status.nonzero(mu + tail * alpha.vector)
+            return H1Status.nonzero(_shifted(mu, alpha.support, tail))
     raise InternalInconsistencyError(
         f"dominant tail weight not found for {mu!r} though nu_n was dominant"
     )

@@ -35,10 +35,9 @@ everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from math import factorial
+from math import factorial, gcd
 from operator import add, mul, neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -169,8 +168,10 @@ class RootDatum:
         self._check_lattice(self.simple_roots)
         if off_rho is not None:
             num, a = off_rho
+            g = gcd(num, pairing_denominator)
+            num, den = num // g, pairing_denominator // g
             raise self._invalid(
-                f"Weyl vector pairs to {Fraction(num, pairing_denominator)} "
+                f"Weyl vector pairs to {num if den == 1 else f'{num}/{den}'} "
                 f"!= 1 with simple root {a.vector.coords}"
             )
 
@@ -385,6 +386,19 @@ def _trusted_weight(coords: tuple[int, ...], datum: RootDatum) -> Weight:
     _set_datum(w, datum)
     _set_labels(w, None)
     return w
+
+
+def _shifted(lam: Weight, support: Iterable[tuple[int, int]], t: int) -> Weight:
+    """lam + t * v, for the sparse vector v given by its (index, value) ``support``.
+
+    v must lie in lam's lattice, as any representative of its class (an SL
+    root's zero-sum lift, say): the datum's ``_reduce`` makes the sum canonical.
+    """
+    coords = list(lam.coords)
+    for i, c in support:
+        coords[i] += t * c
+    datum = lam.datum
+    return _trusted_weight(datum._reduce(tuple(coords)), datum)
 
 
 # A sparse vector: its nonzero coordinates as (index, value) pairs, in
@@ -673,6 +687,8 @@ def make_torus(n: int) -> RootDatum:
 def _check_rank(rank, label: str) -> None:
     if type(rank) is not int:
         raise RankRangeError(f"{label} rank must be an integer, got {rank!r}")
+    if rank > MAX_RANK:
+        raise RankRangeError(f"{label} rank {rank} exceeds the bound {MAX_RANK}")
 
 
 @lru_cache(maxsize=None)
@@ -682,8 +698,6 @@ def _build_datum(family: str, n: int) -> RootDatum:
             raise RankRangeError(f"{family} requires n >= 1, got {n}")
     elif n < 2:
         raise RankRangeError(f"{family} requires n >= 2, got {n}")
-    if n > MAX_RANK:
-        raise RankRangeError(f"{family} rank {n} exceeds the bound {MAX_RANK}")
 
     # Supports of l_i - l_j and l_i + l_j (i < j), of l_i, and of the
     # simple l_k - l_{k+1}, scaled by s.
@@ -747,8 +761,9 @@ def custom_datum(
     omitted for lattices that contain no vector pairing to 1 with every
     simple coroot (adjoint data).  The data come from the caller, so the
     root list is built and checked here: data violating the root-datum
-    axioms raise ``InvalidRootDatumError``, a rank that is not an ``int``
-    ``RankRangeError``.
+    axioms, or simple roots that are not a base of the positive roots,
+    raise ``InvalidRootDatumError``; a rank that is not an ``int``, or
+    above ``MAX_RANK``, raises ``RankRangeError``.
     """
     _check_rank(rank, name)
 
@@ -779,4 +794,44 @@ def custom_datum(
         name=name,
     )
     datum._materialize()
+    _check_base(name, rank, [sup for sup, _ in positives], list(simples))
     return datum
+
+
+def _check_base(name: str, rank: int, positives: list[Support], simples: list[Support]) -> None:
+    """Raise unless the simple roots form a base of the positive roots.
+
+    Following Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, 10.1-10.2: every positive root is reached from the simple
+    roots by adding one simple root at a time without leaving R+, and no
+    simple root minus a positive root is positive, so no simple root is a
+    sum of two positive roots.  O(|R+| |S|) set lookups.
+    """
+
+    def plus(a: Support, b: Support, s: int) -> Support:
+        out = dict(a)
+        for i, c in b:
+            out[i] = out.get(i, 0) + s * c
+        return tuple(sorted((i, c) for i, c in out.items() if c))
+
+    positive = set(positives)
+    reached, frontier = set(simples), list(simples)
+    for beta in frontier:  # breadth first: the frontier grows while it is read
+        for alpha in simples:
+            gamma = plus(beta, alpha, 1)
+            if gamma in positive and gamma not in reached:
+                reached.add(gamma)
+                frontier.append(gamma)
+    for beta in positives:
+        if beta not in reached:
+            raise InvalidRootDatumError(
+                f"{name}: positive root {_dense(beta, rank)} is not reached from the simple "
+                "roots by adding simple roots: the simple roots are not a base"
+            )
+    for alpha in simples:
+        for beta in positives:
+            if plus(alpha, beta, -1) in positive:
+                raise InvalidRootDatumError(
+                    f"{name}: simple root {_dense(alpha, rank)} minus the positive root "
+                    f"{_dense(beta, rank)} is a positive root: the simple roots are not a base"
+                )

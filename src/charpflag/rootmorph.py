@@ -253,9 +253,9 @@ def frobenius_rigidity_verdict(
         p = ring_char.p
     if p is not None:
         require_prime(p, "Frobenius multiplier ")
-    # A classical datum has roots iff it has simple roots, so its full list
-    # is never built here; a custom one may list roots without simple ones.
-    if not (datum.simple_roots or datum.roots):
+    # A datum has roots iff it has simple roots (a custom datum's simple
+    # roots are checked to be a base), so its full list is never built here.
+    if not datum.simple_roots:
         return RigidityVerdict(
             lift_possible=True,
             note="toral datum: Frobenius deforms by the multiplication-by-p map",

@@ -15,6 +15,9 @@ from charpflag import (
     pullback_filtration,
     tautological_weights,
 )
+from charpflag.lattice import FAMILIES
+
+from conftest import FAMILY_MIN_RANK, weights_of
 
 
 def test_tautological_weights_gr_2_4():
@@ -109,6 +112,27 @@ def test_twist_commutes_with_end(d, n, p):
     left = end_weights(frobenius_twist(b, p))
     right = frobenius_twist(end_weights(b), p)
     assert Counter(w.coords for w in left.weights) == Counter(w.coords for w in right.weights)
+
+
+@st.composite
+def bundles(draw):
+    """A bundle of 1-4 weights on a datum of any family, rank up to 8."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(FAMILY_MIN_RANK.get(family, 1), 8))
+    datum = make_datum(family, n)
+    weights = draw(st.lists(weights_of(datum), min_size=1, max_size=4))
+    return EquivariantBundleWeights(datum, tuple(weights), "E")
+
+
+@given(bundles(), st.sampled_from((2, 3, 5, 7)))
+def test_sparse_builders_match_dense_arithmetic(bundle, p):
+    datum, weights = bundle.datum, bundle.weights
+    assert end_weights(bundle).weights == tuple(
+        datum.weight([a - b for a, b in zip(w.coords, v.coords)]) for w in weights for v in weights
+    )
+    assert frobenius_twist(bundle, p).weights == tuple(
+        datum.weight([p * c for c in w.coords]) for w in weights
+    )
 
 
 def test_bundle_json_schema():

@@ -455,6 +455,45 @@ def test_isogeny_check_rejects_a_negative_simple_index(capsys, tmp_path):
     assert err == "usage error: source simple_indices entry -1 is not a positive-root index in 0..1\n"
 
 
+def test_isogeny_check_bounds_a_custom_rank(capsys, tmp_path):
+    source = {"rank": 10_000_000, "positive_roots": [], "simple_indices": []}
+    path = _write_morphism(tmp_path, {"source": source, "target": source, "h": [[1]]})
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.endswith(": custom-source rank 10000000 exceeds the bound 1024\n")
+
+
+@pytest.mark.parametrize(
+    "roots,simple,what",
+    [
+        ([[1, -1], [1, 1]], [0], "positive root (1, 1) is not reached from the simple roots"),
+        (
+            [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+            [0, 1, 2],
+            "simple root (1, 0, -1) minus the positive root (1, -1, 0) is a positive root",
+        ),
+    ],
+    ids=["a1xa1_one_simple", "a2_decomposable"],
+)
+def test_isogeny_check_rejects_simple_roots_that_are_not_a_base(
+    capsys, tmp_path, roots, simple, what
+):
+    source = {
+        "rank": len(roots[0]),
+        "positive_roots": [{"vector": r, "coroot": r} for r in roots],
+        "simple_indices": simple,
+    }
+    h = [[int(i == j) for j in range(len(roots[0]))] for i in range(len(roots[0]))]
+    path = _write_morphism(tmp_path, {"source": source, "target": source, "h": h})
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert what in err
+
+
 def test_isogeny_check_oversized_ring_prime_is_a_one_line_error(capsys, tmp_path):
     path = _write_morphism(
         tmp_path, _gl3_identity_morphism(ring_char={"kind": "prime", "p": int(M61)})

@@ -187,6 +187,24 @@ def test_filtration_with_nonzero_highest_weight_is_unknown():
     assert aggregate_h1_statuses([andersen_h1(d2.weight((-5, 5)), 5)]) == FiltrationH1.UNKNOWN
 
 
+def test_andersen_h1_agrees_on_gl_and_sl():
+    # mu and its image in SL(n) have the same labels, so the same status; the
+    # SL largest weight, built from the zero-sum lift of a root, must be the
+    # canonical form of the GL one.
+    rng = random.Random(20261018)
+    nonzero = 0
+    for _ in range(3000):
+        n, p = rng.randint(2, 5), rng.choice((2, 3, 5, 7))
+        coords = [rng.randint(-3 * p, 3 * p) for _ in range(n)]
+        gl = andersen_h1(make_datum("GL", n).weight(coords), p)
+        sl = andersen_h1(make_datum("SL", n).weight(coords), p)
+        assert gl.status == sl.status, (coords, p)
+        if gl.status == "nonzero":
+            nonzero += 1
+            assert sl.highest_weight == make_datum("SL", n).weight(gl.highest_weight.coords)
+    assert nonzero > 500
+
+
 def test_filtration_with_undetermined_weight_is_unknown():
     d = make_datum("GL", 4)
     weights = [d.zero(), d.weight((0, 2, 0, 0))]

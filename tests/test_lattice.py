@@ -284,6 +284,59 @@ def test_custom_datum_rank_must_be_an_integer():
     assert custom_datum(1, [((2,), (1,))], [(2,)], weyl_vector_coords=(1,)).zero().coords == (0,)
 
 
+def test_custom_datum_rank_is_bounded():
+    assert custom_datum(MAX_RANK, [], []).rank == MAX_RANK
+    with pytest.raises(RankRangeError, match="custom rank 1025 exceeds the bound 1024"):
+        custom_datum(MAX_RANK + 1, [], [])
+
+
+@pytest.mark.parametrize(
+    "rho,shown", [((1,), "1/2"), ((-3,), "-3/2"), ((4,), "2")], ids=["half", "negative", "whole"]
+)
+def test_weyl_vector_pairing_is_shown_in_lowest_terms(rho, shown):
+    # <(4,), (1,)> / 2 = 2; the Weyl vector pairs to rho / 2 with the coroot.
+    message = f"Weyl vector pairs to {shown} != 1"
+    with pytest.raises(InvalidRootDatumError, match=re.escape(message)):
+        custom_datum(1, [((4,), (1,))], [(4,)], weyl_vector_coords=rho, pairing_denominator=2)
+
+
+_A2 = [((1, -1, 0), (1, -1, 0)), ((0, 1, -1), (0, 1, -1)), ((1, 0, -1), (1, 0, -1))]
+
+
+@pytest.mark.parametrize(
+    "rank,positive,simple,what",
+    [
+        # A1 x A1 with one simple root: (1, 1) is not a sum of simple roots.
+        (
+            2,
+            [((1, -1), (1, -1)), ((1, 1), (1, 1))],
+            [(1, -1)],
+            "positive root (1, 1) is not reached",
+        ),
+        # Roots, but no simple roots at all.
+        (2, [((1, -1), (1, -1))], [], "positive root (1, -1) is not reached"),
+        # A negative root listed as positive: (-2, 0) is not (1, 0) + (1, 0).
+        (
+            2,
+            [((1, 0), (2, 0)), ((-2, 0), (-1, 0))],
+            [(1, 0)],
+            "positive root (-2, 0) is not reached",
+        ),
+        # A2 with the decomposable alpha + beta taken as simple too.
+        (
+            3,
+            _A2,
+            [(1, -1, 0), (0, 1, -1), (1, 0, -1)],
+            "simple root (1, 0, -1) minus the positive root (1, -1, 0) is a positive root",
+        ),
+    ],
+    ids=["a1xa1_one_simple", "no_simple", "negative_as_positive", "a2_decomposable"],
+)
+def test_custom_simple_roots_must_form_a_base(rank, positive, simple, what):
+    with pytest.raises(InvalidRootDatumError, match=re.escape(what)):
+        custom_datum(rank, positive, simple)
+
+
 # ---------------------------------------------------------------------------
 # Root lists: built and checked on first access
 
@@ -536,19 +589,18 @@ def test_each_weyl_group_orbit_has_one_dominant_weight():
 
 
 def test_weyl_group_needs_a_regular_sum_of_positive_roots():
-    # The positive roots (1, 0) and (-2, 0) sum to (-1, 0), which pairs to -2
-    # with the simple coroot (2, 0).
-    datum = custom_datum(2, [((1, 0), (2, 0)), ((-2, 0), (-1, 0))], [(1, 0)])
+    # The simple roots (1, 0) and (0, 1) sum to (1, 1), which pairs to -2
+    # with the simple coroot (2, -4).
+    datum = custom_datum(2, [((1, 0), (2, -4)), ((0, 1), (-1, 2))], [(1, 0), (0, 1)])
     with pytest.raises(InvalidRootDatumError, match="pairs to -2 with the simple root"):
         weyl_group(datum)
 
 
 def test_weyl_group_of_an_infinite_reflection_group_is_bounded():
-    # Cartan matrix [[2, -3], [-3, 2]]: a hyperbolic, infinite Coxeter group;
-    # the third positive root makes the sum of positive roots (-1, -1) regular.
-    datum = custom_datum(
-        2, [((1, 0), (2, -3)), ((0, 1), (-3, 2)), ((-2, -2), (-1, 0))], [(1, 0), (0, 1)]
-    )
+    # Cartan matrix [[2, 3], [3, 2]]: the two reflections generate an infinite
+    # group (their product has infinite order, as 3 * 3 >= 4), and the sum
+    # of the positive roots, (1, 1), pairs to 5 with both simple coroots.
+    datum = custom_datum(2, [((1, 0), (2, 3)), ((0, 1), (3, 2))], [(1, 0), (0, 1)])
     with pytest.raises(UnsupportedDatumError, match="more than 8 elements"):
         weyl_group(datum)
 
@@ -583,18 +635,19 @@ def test_weyl_group_order_closed_forms(n):
 
 
 def test_weyl_group_order_rejects_bad_heights():
-    # e_2 is positive but pairs to 0 with the Weyl vector.
-    flat = custom_datum(
-        2, [((2, 0), (1, 0)), ((0, 2), (0, 1))], [(2, 0)], weyl_vector_coords=(1, 0)
-    )
+    # Simple roots a = (2, -1) and b = (0, 2) with the Weyl vector (1, 1).
+    a, b = ((2, -1), (1, 0)), ((0, 2), (0, 1))
+    # The coroot (2, -2) of a + b pairs to 0 with the Weyl vector.
+    flat = custom_datum(2, [a, b, ((2, 1), (2, -2))], [a[0], b[0]], weyl_vector_coords=(1, 1))
     with pytest.raises(InvalidRootDatumError, match="height 0"):
         weyl_group_order(flat)
-    # Two positive roots of height 2 over one of height 1: not a root system.
+    # a + b, 2a and a + 2b all have height 2, over the two simple roots of
+    # height 1: not a root system.
     lopsided = custom_datum(
-        3,
-        [((2, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 2, 0)), ((0, 0, 1), (0, 0, 2))],
-        [(2, 0, 0)],
-        weyl_vector_coords=(1, 1, 1),
+        2,
+        [a, b, ((2, 1), (0, 2)), ((4, -2), (1, 1)), ((2, 3), (4, -2))],
+        [a[0], b[0]],
+        weyl_vector_coords=(1, 1),
     )
     with pytest.raises(InvalidRootDatumError, match="not a root system"):
         weyl_group_order(lopsided)

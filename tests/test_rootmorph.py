@@ -201,17 +201,6 @@ def test_rigidity_toral_test_reads_only_the_simple_roots():
     assert datum._root_lists is None
 
 
-def test_rigidity_custom_datum_with_roots_but_no_simple_roots_is_not_toral():
-    # The toral test reads the root list of a custom datum, which may list
-    # roots without naming simple ones.
-    datum = custom_datum(2, [((1, -1), (1, -1))], [])
-    assert not datum.simple_roots
-    p2 = frobenius_rigidity_verdict(datum, RingChar.prime_power(5, 2))
-    assert not p2.lift_possible and p2.note is None
-    prime = frobenius_rigidity_verdict(datum, RingChar.prime(5))
-    assert prime.lift_possible and prime.note is None
-
-
 @pytest.mark.parametrize("p", (4, 1, -3))
 @pytest.mark.parametrize("datum", (make_torus(3), make_datum("GL", 1), make_datum("GL", 3)))
 def test_rigidity_rejects_a_non_prime_p_on_every_datum(datum, p):
