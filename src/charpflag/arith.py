@@ -27,7 +27,8 @@ def _smallest_factor(n: int) -> int:
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and _smallest_factor(p) == p
+    """Whether p is a prime; only an ``int`` can be one (not a bool, float or Fraction)."""
+    return type(p) is int and p >= 2 and _smallest_factor(p) == p
 
 
 def require_prime(p: int, label: str = "p = ") -> None:
@@ -37,8 +38,8 @@ def require_prime(p: int, label: str = "p = ") -> None:
 
 
 def prime_power_base(q: int) -> Optional[tuple[int, int]]:
-    """(p, k) with q = p^k, k >= 1, or None if q is not a prime power."""
-    if q < 2:
+    """(p, k) with q = p^k, k >= 1, or None if q is not a prime power (or not an ``int``)."""
+    if type(q) is not int or q < 2:
         return None
     p = _smallest_factor(q)
     k = 0

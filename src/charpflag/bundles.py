@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 
 from .errors import DatumMismatchError, RankRangeError
 from .arith import require_prime
@@ -31,8 +32,9 @@ class EquivariantBundleWeights:
     label: str
 
     def __post_init__(self):
+        datum = self.datum
         for w in self.weights:
-            if w.datum is not self.datum:
+            if w.datum is not datum:
                 raise DatumMismatchError(
                     f"weight {w!r} of bundle {self.label} is not a weight of {self.datum.name}"
                 )
@@ -101,4 +103,4 @@ def pullback_filtration(bundle: EquivariantBundleWeights) -> tuple[Weight, ...]:
     The true filtration order is not canonical; a fixed total order keeps
     reports deterministic, and every consumer here is order-independent.
     """
-    return tuple(sorted(bundle.weights, key=lambda w: w.coords))
+    return tuple(sorted(bundle.weights, key=attrgetter("coords")))

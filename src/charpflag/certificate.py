@@ -126,6 +126,28 @@ class Certificate:
         }
 
 
+# ``_case_row`` fills a CaseRow through its slot descriptors, as
+# ``lattice._trusted_weight`` fills a Weight: the dataclass ``__init__`` of a
+# frozen class calls ``object.__setattr__`` once per field.
+_set_row_weight = CaseRow.weight.__set__
+_set_row_case = CaseRow.case_tag.__set__
+_set_row_root = CaseRow.chosen_simple_root.__set__
+_set_row_pairing = CaseRow.pairing_value.__set__
+_set_row_h1 = CaseRow.h1.__set__
+
+
+def _case_row(
+    weight: Weight, case_tag: str, root: Optional[Root], value: Optional[int], h1: H1Status
+) -> CaseRow:
+    row = object.__new__(CaseRow)
+    _set_row_weight(row, weight)
+    _set_row_case(row, case_tag)
+    _set_row_root(row, root)
+    _set_row_pairing(row, value)
+    _set_row_h1(row, h1)
+    return row
+
+
 def classify_weight(mu: Weight, p: int) -> CaseRow:
     """Classify one End-bundle weight mu = p(l_i - l_j) into its case row.
 
@@ -143,19 +165,15 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     coords = mu.coords
     support = list(compress(range(len(coords)), coords))
     if not support:
-        return CaseRow(
-            weight=mu,
-            case_tag=CASE_DIAGONAL,
-            chosen_simple_root=None,
-            pairing_value=None,
-            h1=andersen_h1(mu, p),
-        )
-    if len(support) != 2 or {coords[support[0]], coords[support[1]]} != {-p, p}:
+        return _case_row(mu, CASE_DIAGONAL, None, None, andersen_h1(mu, p))
+    # The shape p(l_i - l_j): exactly two nonzero coordinates, p and -p.
+    a, b = support[0], support[-1]
+    x = coords[a]
+    if len(support) != 2 or x + coords[b] or (x != p and x != -p):
         raise WeightShapeError(
             f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}"
         )
-    a, b = support
-    i, j = (a + 1, b + 1) if coords[a] == p else (b + 1, a + 1)
+    i, j = (a + 1, b + 1) if x == p else (b + 1, a + 1)
     if i < j:
         case = CASE_UPPER_FAR
         if j >= datum.rank:
@@ -177,16 +195,12 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     value = -pairing(mu, root) - 2
     if value != expected:
         raise InternalInconsistencyError(f"pairing {value} != closed form {expected} for {mu!r}")
-    return CaseRow(
-        weight=mu,
-        case_tag=case,
-        chosen_simple_root=root,
-        pairing_value=value,
-        h1=andersen_h1(mu, p),
-    )
+    return _case_row(mu, case, root, value, andersen_h1(mu, p))
 
 
 def _validate_parameters(d: int, n: int, p: int) -> None:
+    if type(d) is not int or type(n) is not int:
+        raise RankRangeError(f"certificate requires integer d and N, got d={d!r}, N={n!r}")
     if not 2 <= d <= n - 2:
         raise RankRangeError(f"certificate requires 2 <= d <= N - 2, got d={d}, N={n}")
     require_prime(p)
@@ -204,12 +218,18 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
     _validate_parameters(d, n, p)
     rows = tuple(rows)
 
-    off_diagonal = [row for row in rows if not row.weight.is_zero()]
-    dominant_off = [row.weight for row in off_diagonal if is_dominant(row.weight)]
+    off_diagonal = 0
+    dominant_off = []
+    for row in rows:
+        w = row.weight
+        if not w.is_zero():
+            off_diagonal += 1
+            if is_dominant(w):
+                dominant_off.append(w)
     cond_i = ConditionCheck(
         holds=not dominant_off,
         detail=(
-            f"all {len(off_diagonal)} off-diagonal End weights are non-dominant, so "
+            f"all {off_diagonal} off-diagonal End weights are non-dominant, so "
             "H^0(X, End) is filtered by trivial modules and H^2(G, -) of a trivial "
             "module vanishes for reductive G"
             if not dominant_off
@@ -218,7 +238,7 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
         ),
     )
 
-    aggregate = aggregate_h1_statuses(row.h1 for row in rows)
+    aggregate = aggregate_h1_statuses([row.h1 for row in rows])
     cond_ii = ConditionCheck(
         holds=aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE),
         detail=f"H^1(X, End) aggregates to '{aggregate.value}' over the line-bundle filtration",

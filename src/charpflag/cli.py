@@ -368,6 +368,11 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
                 _json_int(ring["p"], "ring_char p"), _json_int(ring["n"], "ring_char n")
             ),
         }[ring["kind"]]()
+    except CharpFlagError as exc:
+        # Well-formed JSON whose data a typed check rejects (a rank past its
+        # bound, simple roots that are not a base); caught before ValueError,
+        # which most library errors subclass.
+        raise UsageError(f"invalid morphism data in {args.file}: {exc}") from None
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed morphism description in {args.file}: {exc}") from None
     verdict = validate_p_morphism(

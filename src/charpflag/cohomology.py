@@ -92,7 +92,13 @@ class H1Status:
             raise InternalInconsistencyError(
                 f"largest weight {highest_weight!r} of a nonzero H^1 is not dominant"
             )
-        return cls("nonzero", highest_weight=highest_weight)
+        # Filled through the slot descriptors: the frozen dataclass
+        # ``__init__`` calls ``object.__setattr__`` once per field.
+        status = object.__new__(cls)
+        _set_status(status, "nonzero")
+        _set_highest_weight(status, highest_weight)
+        _set_reason(status, None)
+        return status
 
     @classmethod
     def undetermined(cls, reason: str) -> "H1Status":
@@ -118,6 +124,9 @@ class H1Status:
 
 
 _ZERO = H1Status("zero")
+_set_status = H1Status.status.__set__
+_set_highest_weight = H1Status.highest_weight.__set__
+_set_reason = H1Status.reason.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +160,21 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     datum = mu.datum
     _require_type_a(datum)
     require_prime(p)
-    labels = dynkin_labels(mu)
+    labels = mu._labels  # kept by an earlier ``dynkin_labels`` call, if any
+    if labels is None:
+        labels = dynkin_labels(mu)
     negatives = 0
     for c in labels.values():
         if c < 0:
             negatives += 1
     if not negatives:
         return _ZERO
+    simple = datum.simple_roots
     verdicts: list[tuple[Root, H1Status]] = []
     for k, c in labels.items():
         if c > -2:
             continue
-        alpha = datum.simple_roots[k]
+        alpha = simple[k]
         column = cartan_column(alpha)
         # m = <lam, alpha^vee> for lam = s_alpha . mu = mu - (c + 1) alpha,
         # read through the column's diagonal <alpha, alpha^vee>.

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import factorial, gcd
 from operator import add, mul, neg, sub
 from types import MappingProxyType
@@ -536,7 +536,9 @@ def dynkin_labels(lam: Weight) -> Mapping[int, int]:
     index = lam.datum._coroot_index
     simple = lam.datum.simple_roots
     found = {}
-    for k in sorted({k for i in compress(range(len(coords)), coords) for k in index[i]}):
+    # The simple roots whose coroot meets a nonzero coordinate, in one pass:
+    # ``compress`` picks the index entries of the nonzero coordinates.
+    for k in sorted(set(chain.from_iterable(compress(index, coords)))):
         c = pairing(lam, simple[k])
         if c:
             found[k] = c
@@ -576,7 +578,10 @@ def dot_reflect(lam: Weight, alpha: Root) -> Weight:
 
 def is_dominant(lam: Weight) -> bool:
     """True iff <lam, alpha^vee> >= 0 for every simple root alpha."""
-    for c in dynkin_labels(lam).values():
+    labels = lam._labels  # kept by an earlier ``dynkin_labels`` call, if any
+    if labels is None:
+        labels = dynkin_labels(lam)
+    for c in labels.values():
         if c < 0:
             return False
     return True

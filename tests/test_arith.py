@@ -1,9 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpflag import IntegerBoundError
-from charpflag.arith import TRIAL_DIVISION_BOUND, is_prime, prime_power_base
+from charpflag import (
+    IntegerBoundError,
+    NotPrimeError,
+    RingChar,
+    andersen_h1,
+    check_equivariant_smoothness,
+    classify_weight,
+    make_datum,
+)
+from charpflag.arith import TRIAL_DIVISION_BOUND, is_prime, prime_power_base, require_prime
 
 from conftest import prime_power_reference
 
@@ -23,3 +33,32 @@ def test_trial_division_is_bounded():
             is_prime(n)
         with pytest.raises(IntegerBoundError, match="exceeds the trial-division bound"):
             prime_power_base(n)
+
+
+# A float, a bool or a Fraction equal to a prime is not one: only an int
+# can be a prime or a prime power.
+NON_INTEGERS = [7.5, 7.0, 5.0, 25.0, True, Fraction(7), Fraction(25), Fraction(15, 2)]
+
+
+@pytest.mark.parametrize("n", NON_INTEGERS, ids=repr)
+def test_only_integers_are_primes_or_prime_powers(n):
+    assert not is_prime(n)
+    assert prime_power_base(n) is None
+    with pytest.raises(NotPrimeError, match="is not prime"):
+        require_prime(n)
+
+
+@pytest.mark.parametrize("p", NON_INTEGERS, ids=repr)
+def test_entry_points_reject_non_integer_primes(p):
+    gl6 = make_datum("GL", 6)
+    mu = gl6.weight((0, 0, -5, 5, 0, 0))
+    calls = [
+        lambda: check_equivariant_smoothness(3, 6, p),
+        lambda: classify_weight(gl6.zero(), p),
+        lambda: andersen_h1(mu, p),
+        lambda: RingChar.prime(p),
+        lambda: RingChar.prime_power(p, 2),
+    ]
+    for call in calls:
+        with pytest.raises(NotPrimeError):
+            call()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,12 @@ from charpflag import (
     certificate_from_rows,
     check_equivariant_smoothness,
     classify_weight,
+    dynkin_labels,
     make_datum,
     pairing,
 )
 from charpflag import lattice
-from charpflag.lattice import MAX_RANK
+from charpflag.lattice import MAX_RANK, Weight
 from charpflag.certificate import (
     CASE_ADJACENT,
     CASE_DIAGONAL,
@@ -109,6 +111,54 @@ def test_classify_checks_the_closed_form_at_runtime(monkeypatch):
     )
     with pytest.raises(InternalInconsistencyError, match="closed form 5"):
         classify_weight(_end_weight(8, 7, 4, 2), 7)
+
+
+def test_classified_rows_behave_as_keyword_built_rows():
+    rows = check_equivariant_smoothness(4, 9, 7).rows
+    assert {row.case_tag for row in rows} == {
+        CASE_DIAGONAL,
+        CASE_UPPER_FAR,
+        CASE_LOWER_FAR,
+        CASE_ADJACENT,
+    }
+    for row in rows:
+        built = CaseRow(
+            weight=row.weight,
+            case_tag=row.case_tag,
+            chosen_simple_root=row.chosen_simple_root,
+            pairing_value=row.pairing_value,
+            h1=row.h1,
+        )
+        assert row == built
+        assert hash(row) == hash(built)
+        assert repr(row) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.pairing_value = 0
+        assert dataclasses.replace(row) == row
+        assert dataclasses.replace(row, case_tag="other").case_tag == "other"
+    # The adjacent rows' nonzero H^1 statuses are built the same way.
+    nonzero = [row.h1 for row in rows if row.h1.status == "nonzero"]
+    assert len(nonzero) == 3
+    for status in nonzero:
+        built = H1Status("nonzero", highest_weight=status.highest_weight)
+        assert (status, hash(status), repr(status)) == (built, hash(built), repr(built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            status.reason = "changed"
+
+
+def test_rows_record_the_dot_reflected_pairing_and_the_labels_of_their_weights():
+    for p in (5, 7, 11, 13, 23):
+        for n in range(4, 15):
+            for d in range(2, n - 1):
+                for row in check_equivariant_smoothness(d, n, p).rows:
+                    if row.chosen_simple_root is None:
+                        assert row.case_tag == CASE_DIAGONAL and row.pairing_value is None
+                    else:
+                        value = -pairing(row.weight, row.chosen_simple_root) - 2
+                        assert row.pairing_value == value
+                    for w in (row.weight, row.h1.highest_weight):
+                        if w is not None and w._labels is not None:
+                            assert w._labels == dynkin_labels(Weight(w.coords, w.datum))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +252,16 @@ def test_certificate_rejects_bad_parameters():
         check_equivariant_smoothness(2, 7, 6)
     with pytest.raises(NotPrimeError):
         check_equivariant_smoothness(2, 7, 3)
+
+
+@pytest.mark.parametrize(
+    "d,n", [(3.0, 6), (3, 6.0), (True, 6), (3, Fraction(6)), (Fraction(3), 6)], ids=repr
+)
+def test_certificate_needs_integer_ranks(d, n):
+    with pytest.raises(RankRangeError, match="integer d and N"):
+        check_equivariant_smoothness(d, n, 7)
+    with pytest.raises(RankRangeError, match="integer d and N"):
+        certificate_from_rows(d, n, 7, ())
 
 
 def test_certificate_condition_detail_mentions_omitted_hypothesis():

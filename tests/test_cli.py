@@ -492,6 +492,26 @@ def test_isogeny_check_rejects_simple_roots_that_are_not_a_base(
     assert out == ""
     assert err.count("\n") == 1
     assert what in err
+    # Well-formed JSON that a typed datum check rejects is not "malformed".
+    assert err.startswith(f"usage error: invalid morphism data in {path}: ")
+
+
+def test_isogeny_check_reports_an_oversized_rank_as_invalid_data(capsys, tmp_path):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(source={"type": "GL", "n": 2000}))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"usage error: invalid morphism data in {path}: GL rank 2000 exceeds the bound 1024\n"
+    )
+
+
+def test_isogeny_check_keeps_malformed_for_missing_keys(capsys, tmp_path):
+    payload = _gl3_identity_morphism()
+    del payload["h"]
+    path = _write_morphism(tmp_path, payload)
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: malformed morphism description in {path}: 'h'\n"
 
 
 def test_isogeny_check_oversized_ring_prime_is_a_one_line_error(capsys, tmp_path):

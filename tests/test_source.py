@@ -44,17 +44,15 @@ def test_package_raises_no_builtin_exceptions():
     assert found == []
 
 
-def test_the_benchmark_tracer_still_binds_weyl_group():
+def _run_traced(snippet):
+    """Run ``snippet`` in a fresh interpreter after the benchmark tracer is installed."""
     # perfbench/tracer.py wraps package functions by name; a fresh
     # interpreter shows whether the names it binds still exist.
     root = Path(__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, 'perfbench')\n"
         "from tracer import Tracer\n"
-        "tracer = Tracer(); tracer.install()\n"
-        "from charpflag import make_datum, weyl_group\n"
-        "weyl_group(make_datum('GL', 3))\n"
-        "print(tracer.calls['lattice.weyl_group'])\n"
+        "tracer = Tracer(); tracer.install()\n" + snippet
     )
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -62,4 +60,28 @@ def test_the_benchmark_tracer_still_binds_weyl_group():
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "1\n"
+    return proc.stdout
+
+
+def test_the_benchmark_tracer_still_binds_weyl_group():
+    stdout = _run_traced(
+        "from charpflag import make_datum, weyl_group\n"
+        "weyl_group(make_datum('GL', 3))\n"
+        "print(tracer.calls['lattice.weyl_group'])\n"
+    )
+    assert stdout == "1\n"
+
+
+def test_the_benchmark_tracer_sees_every_certificate_row():
+    # The benchmark's layer map: each of the d^2 rows is classified and its
+    # H^1 decided through the traced names, and labels come from pairing.
+    stdout = _run_traced(
+        "from charpflag import check_equivariant_smoothness\n"
+        "check_equivariant_smoothness(3, 6, 5)\n"
+        "calls = tracer.calls\n"
+        "print(calls['certificate.classify_weight'], calls['cohomology.andersen_h1'],"
+        " calls['lattice.pairing'])\n"
+    )
+    classified, decided, pairings = map(int, stdout.split())
+    assert (classified, decided) == (9, 9)
+    assert pairings > 0
