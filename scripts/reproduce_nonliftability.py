@@ -15,11 +15,27 @@ import sys
 import time
 
 from charpflag import VERDICT_NO_LIFT, check_equivariant_smoothness
+from charpflag.arith import is_prime
+
+
+def prime_list(text: str) -> list[int]:
+    """The primes >= 5 of a comma-separated list, for argparse's ``type=``.
+
+    A word that is not an integer, or a prime past the trial-division bound,
+    raises ``ValueError``, which argparse reports as a usage error.
+    """
+    primes = [int(word) for word in text.split(",")]
+    for p in primes:
+        if p < 5 or not is_prime(p):
+            raise argparse.ArgumentTypeError(f"{p} is not a prime >= 5")
+    return primes
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--primes", default="5,7,11,13", help="comma-separated primes >= 5")
+    parser.add_argument(
+        "--primes", type=prime_list, default="5,7,11,13", help="comma-separated primes >= 5"
+    )
     parser.add_argument("--max-N", type=int, default=10, dest="max_n", help="largest ambient N")
     parser.add_argument("--json", action="store_true", help="emit one JSON object per case")
     return parser.parse_args(argv)
@@ -27,11 +43,10 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    primes = [int(p) for p in args.primes.split(",")]
     start = time.perf_counter()
     failures = 0
     cases = 0
-    for p in primes:
+    for p in args.primes:
         for n in range(4, args.max_n + 1):
             for d in range(2, n - 1):
                 cert = check_equivariant_smoothness(d, n, p)

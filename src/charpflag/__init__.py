@@ -43,11 +43,9 @@ from .lattice import (
 )
 from .cohomology import (
     BwbStatus,
-    DigitExpansion,
     FiltrationH1,
     H1Status,
     andersen_h1,
-    base_p_digits,
     bwb_char0,
     weyl_dim,
 )
@@ -63,9 +61,7 @@ from .rootmorph import (
     PMorphismData,
     RigidityVerdict,
     RingChar,
-    frobenius_p_morphism,
     frobenius_rigidity_verdict,
-    identity_p_morphism,
     validate_p_morphism,
 )
 from .certificate import (
@@ -112,11 +108,9 @@ __all__ = [
     "weyl_group_order",
     # cohomology
     "BwbStatus",
-    "DigitExpansion",
     "FiltrationH1",
     "H1Status",
     "andersen_h1",
-    "base_p_digits",
     "bwb_char0",
     "weyl_dim",
     # bundles
@@ -130,9 +124,7 @@ __all__ = [
     "PMorphismData",
     "RigidityVerdict",
     "RingChar",
-    "frobenius_p_morphism",
     "frobenius_rigidity_verdict",
-    "identity_p_morphism",
     "validate_p_morphism",
     # certificate
     "CaseRow",

@@ -43,13 +43,6 @@ class EquivariantBundleWeights:
     def rank(self) -> int:
         return len(self.weights)
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "datum": self.datum.to_json(),
-            "weights": [w.to_json() for w in self.weights],
-        }
-
 
 def tautological_weights(d: int, n: int) -> EquivariantBundleWeights:
     """Weights {l_1, ..., l_d} of the tautological subbundle on Gr(d, N).

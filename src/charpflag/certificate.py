@@ -33,7 +33,7 @@ from .cohomology import (
     aggregate_h1_statuses,
     andersen_h1,
 )
-from .lattice import Root, Weight, is_dominant, make_datum, pairing
+from .lattice import DENSE_LISTING_MAX, Root, Weight, is_dominant, make_datum, pairing
 from .rootmorph import RigidityVerdict, RingChar, frobenius_rigidity_verdict
 
 CASE_DIAGONAL = "diagonal"
@@ -203,6 +203,9 @@ def _validate_parameters(d: int, n: int, p: int) -> None:
         raise RankRangeError(f"certificate requires integer d and N, got d={d!r}, N={n!r}")
     if not 2 <= d <= n - 2:
         raise RankRangeError(f"certificate requires 2 <= d <= N - 2, got d={d}, N={n}")
+    if d > DENSE_LISTING_MAX:
+        # A certificate holds d^2 End weights of length N.
+        raise RankRangeError(f"certificate d = {d} exceeds the bound {DENSE_LISTING_MAX}")
     require_prime(p)
     if p < 5:
         raise NotPrimeError(f"certificate supports p >= 5 only, got p = {p}")

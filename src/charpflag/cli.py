@@ -28,9 +28,10 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .arith import prime_power_base
-from .errors import CharpFlagError
+from .errors import CharpFlagError, RankRangeError
 from .certificate import VERDICT_NO_LIFT, check_equivariant_smoothness
 from .cohomology import andersen_h1, bwb_char0
+from .lattice import DENSE_LISTING_MAX
 from .lattice import RootDatum, Weight, custom_datum, make_datum, weyl_group_order
 from .rootmorph import (
     PMorphismData,
@@ -42,9 +43,6 @@ from .rootmorph import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
-
-# The roots listing writes every root and coroot densely, O(n^3) bytes.
-ROOTS_MAX_RANK = 64
 
 
 class UsageError(Exception):
@@ -188,8 +186,8 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
 
 
 def _cmd_roots(args) -> tuple[dict, dict, list[str], int]:
-    if args.n > ROOTS_MAX_RANK:
-        raise UsageError(f"roots --n {args.n} exceeds the bound {ROOTS_MAX_RANK}")
+    if args.n > DENSE_LISTING_MAX:
+        raise UsageError(f"roots --n {args.n} exceeds the bound {DENSE_LISTING_MAX}")
     datum = make_datum(args.type, args.n)
     order = weyl_group_order(datum)
     result = {
@@ -338,6 +336,12 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
     try:
         source = _load_datum_spec(spec["source"], "source")
         target = _load_datum_spec(spec["target"], "target")
+        for role, datum in (("source", source), ("target", target)):
+            if datum.rank > DENSE_LISTING_MAX:
+                raise RankRangeError(
+                    f"{role} rank {datum.rank} exceeds the isogeny-check bound "
+                    f"{DENSE_LISTING_MAX}"
+                )
         h = tuple(_json_ints(row, "h entry") for row in spec["h"])
         d_spec = spec.get("d_map", "identity")
         if d_spec == "identity":

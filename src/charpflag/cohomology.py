@@ -34,33 +34,6 @@ def _require_type_a(datum: RootDatum) -> None:
 # Base-p digits
 
 
-@dataclass(frozen=True, slots=True)
-class DigitExpansion:
-    """Base-p digits a_0..a_n of a positive integer, least significant first."""
-
-    digits: tuple[int, ...]
-    prime: int
-
-    def __post_init__(self):
-        if not self.digits or self.digits[-1] == 0 or any(
-            not 0 <= d < self.prime for d in self.digits
-        ):
-            raise InternalInconsistencyError(
-                f"{self.digits} is not a canonical base-{self.prime} digit expansion"
-            )
-
-    def value(self) -> int:
-        return sum(d * self.prime**j for j, d in enumerate(self.digits))
-
-
-def base_p_digits(m: int, p: int) -> DigitExpansion:
-    """Canonical base-p expansion of m >= 1."""
-    require_prime(p)
-    if m <= 0:
-        raise DomainError(f"digit expansion requires m >= 1, got {m}")
-    return DigitExpansion(tuple(_digits(m, p)), p)
-
-
 def _digits(m: int, p: int) -> list[int]:
     """Base-p digits of m >= 1, least significant first; p is checked by the caller."""
     digits = []

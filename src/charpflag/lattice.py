@@ -60,6 +60,12 @@ MAX_RANK = 1024
 # Rank bound for enumerating the Weyl group: 2^8 8! = 10,321,920 elements.
 WEYL_GROUP_MAX_RANK = 8
 
+# Bound on a count of objects that is listed densely: the rank of a
+# ``roots`` listing (every root and coroot, O(n^3) bytes) and of an
+# ``isogeny-check`` datum (rank x rank matrices against every root, O(n^4)
+# for GL(n)), and a certificate's d (d^2 End weights of length N).
+DENSE_LISTING_MAX = 64
+
 # Canonical family tags accepted by make_datum.
 FAMILIES = ("GL", "SL", "Sp", "SO_odd", "SO_even", "Torus")
 

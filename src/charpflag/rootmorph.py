@@ -50,6 +50,8 @@ class RingChar:
     @classmethod
     def prime_power(cls, p: int, n: int) -> "RingChar":
         require_prime(p, "")
+        if type(n) is not int:
+            raise DomainError(f"prime_power exponent must be an integer, got {n!r}")
         if n < 2:
             raise DomainError(f"prime_power needs exponent >= 2, got {n}")
         return cls("prime_power", p=p, n=n)
@@ -60,9 +62,6 @@ class RingChar:
         if self.kind == "prime":
             return f"characteristic {self.p}"
         return f"characteristic {self.p}^{self.n} (p nonzero, nilpotent)"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "n": self.n}
 
 
 def q_admissible(q: int, ring_char: RingChar) -> bool:
@@ -182,35 +181,6 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
                 )
             )
     return MorphismVerdict(tuple(failures))
-
-
-def identity_p_morphism(datum: RootDatum, ring_char: RingChar) -> PMorphismData:
-    """The identity data h = id, d = id, q == 1: valid over every ring."""
-    ident = tuple(
-        tuple(1 if i == j else 0 for j in range(datum.rank)) for i in range(datum.rank)
-    )
-    return PMorphismData(
-        source=datum,
-        target=datum,
-        h=ident,
-        d_map={a: a for a in datum.roots},
-        q={a: 1 for a in datum.roots},
-        ring_char=ring_char,
-    )
-
-
-def frobenius_p_morphism(datum: RootDatum, p: int, ring_char: RingChar) -> PMorphismData:
-    """The Frobenius data of a split datum: h = p * id, d = id, q == p."""
-    require_prime(p, "Frobenius multiplier ")
-    h = tuple(tuple(p if i == j else 0 for j in range(datum.rank)) for i in range(datum.rank))
-    return PMorphismData(
-        source=datum,
-        target=datum,
-        h=h,
-        d_map={a: a for a in datum.roots},
-        q={a: p for a in datum.roots},
-        ring_char=ring_char,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from charpflag import make_datum
+from charpflag import PMorphismData, make_datum
 
 CLASSICAL_FAMILIES = ("GL", "SL", "Sp", "SO_odd", "SO_even")
 FAMILY_MIN_RANK = {"GL": 1, "SL": 2, "Sp": 2, "SO_odd": 2, "SO_even": 2}
@@ -47,3 +47,17 @@ def prime_power_reference(q):
                 k += 1
             return (f, k) if q == 1 else None
     return None
+
+
+def scalar_p_morphism(datum, k, ring_char):
+    """The data h = k*id, d = id, q == k on datum: the identity for k = 1,
+    the Frobenius for k = p."""
+    h = tuple(tuple(k if i == j else 0 for j in range(datum.rank)) for i in range(datum.rank))
+    return PMorphismData(
+        source=datum,
+        target=datum,
+        h=h,
+        d_map={a: a for a in datum.roots},
+        q={a: k for a in datum.roots},
+        ring_char=ring_char,
+    )

@@ -14,12 +14,10 @@ from charpflag import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_LIFT,
     andersen_h1,
-    base_p_digits,
     bwb_char0,
     certificate_from_rows,
     check_equivariant_smoothness,
     dot_reflect,
-    frobenius_p_morphism,
     frobenius_rigidity_verdict,
     is_dominant,
     make_datum,
@@ -31,7 +29,10 @@ from charpflag import (
     weyl_group,
 )
 from charpflag.certificate import CASE_ADJACENT, CASE_DIAGONAL
+from charpflag.cohomology import _digits
 from charpflag.cli import main
+
+from conftest import scalar_p_morphism
 
 PRIMES = (5, 7, 11, 13)
 
@@ -80,7 +81,7 @@ def test_criterion_1_paper_case_reproduction():
 def test_criterion_2_exact_in_proof_arithmetic():
     checked = 0
     for p in PRIMES:
-        assert base_p_digits(2 * p - 2, p).digits == (p - 2, 1), p
+        assert _digits(2 * p - 2, p) == [p - 2, 1], p
         for n in (6, 8, 10):
             for d in (2, 3, 4):
                 if d > n - 2:
@@ -189,11 +190,11 @@ def test_criterion_6_rigidity_verdicts():
         datum = make_datum(family, n)
         for p in (5, 7):
             assert validate_p_morphism(
-                frobenius_p_morphism(datum, p, RingChar.prime(p))
+                scalar_p_morphism(datum, p, RingChar.prime(p))
             ).valid, (family, n, p)
             assert frobenius_rigidity_verdict(datum, RingChar.prime(p)).lift_possible
             for ring in (RingChar.zero(), RingChar.prime_power(p, 2)):
-                data = frobenius_p_morphism(datum, p, ring)
+                data = scalar_p_morphism(datum, p, ring)
                 verdict = validate_p_morphism(data)
                 assert not verdict.valid, (family, n, p, ring)
                 assert all(f.relation == "q_admissible" for f in verdict.failures)

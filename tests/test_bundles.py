@@ -135,18 +135,6 @@ def test_sparse_builders_match_dense_arithmetic(bundle, p):
     )
 
 
-def test_bundle_json_schema():
-    payload = end_weights(frobenius_twist(tautological_weights(2, 4), 5)).to_json()
-    assert set(payload) == {"label", "datum", "weights"}
-    assert payload["datum"] == {"type": "GL", "n": 4}
-    assert sorted(payload["weights"]) == [
-        [-5, 5, 0, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-        [5, -5, 0, 0],
-    ]
-
-
 def test_a_bundle_cannot_mix_data():
     gl3, gl4 = make_datum("GL", 3), make_datum("GL", 4)
     with pytest.raises(DatumMismatchError, match="not a weight of GL\\(3\\)"):

@@ -25,7 +25,7 @@ from charpflag import (
     pairing,
 )
 from charpflag import lattice
-from charpflag.lattice import MAX_RANK, Weight
+from charpflag.lattice import DENSE_LISTING_MAX, MAX_RANK, Weight
 from charpflag.certificate import (
     CASE_ADJACENT,
     CASE_DIAGONAL,
@@ -262,6 +262,22 @@ def test_certificate_needs_integer_ranks(d, n):
         check_equivariant_smoothness(d, n, 7)
     with pytest.raises(RankRangeError, match="integer d and N"):
         certificate_from_rows(d, n, 7, ())
+
+
+def test_certificate_d_is_bounded_before_any_weight_is_built(monkeypatch):
+    # d^2 End weights of length N: d = 1000 at N = 1024 would take tens of GB.
+    monkeypatch.setattr("charpflag.certificate.tautological_weights", None)
+    for d, n in ((65, 128), (1000, 1024)):
+        with pytest.raises(RankRangeError, match=f"^certificate d = {d} exceeds the bound 64$"):
+            check_equivariant_smoothness(d, n, 5)
+        with pytest.raises(RankRangeError, match="exceeds the bound 64"):
+            certificate_from_rows(d, n, 5, ())
+
+
+def test_certificate_at_the_d_bound():
+    cert = check_equivariant_smoothness(DENSE_LISTING_MAX, DENSE_LISTING_MAX + 2, 5)
+    assert cert.final_verdict == VERDICT_NO_LIFT
+    assert len(cert.rows) == DENSE_LISTING_MAX**2
 
 
 def test_certificate_condition_detail_mentions_omitted_hypothesis():

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, seed, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import charpflag
 from charpflag import __version__, cli
 from charpflag.cli import main
+from charpflag.lattice import make_datum
 
 
 def run_cli(capsys, *argv):
@@ -503,6 +505,31 @@ def test_isogeny_check_reports_an_oversized_rank_as_invalid_data(capsys, tmp_pat
     assert err == (
         f"usage error: invalid morphism data in {path}: GL rank 2000 exceeds the bound 1024\n"
     )
+
+
+@pytest.mark.parametrize("role", ("source", "target"))
+def test_isogeny_check_bounds_the_datum_ranks(capsys, tmp_path, role):
+    # Validation multiplies rank x rank matrices against every root, O(rank^4)
+    # for GL(rank), so a rank past the dense-listing bound stops before any
+    # root list is built.
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(**{role: {"type": "GL", "n": 65}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (
+        f"usage error: invalid morphism data in {path}: "
+        f"{role} rank 65 exceeds the isogeny-check bound 64\n"
+    )
+    assert make_datum("GL", 65)._root_lists is None
+
+
+def test_grassmann_check_bounds_d(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "grassmann-check", "--d", "65", "--N", "128", "--p", "5")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == "error: certificate d = 65 exceeds the bound 64\n"
 
 
 def test_isogeny_check_keeps_malformed_for_missing_keys(capsys, tmp_path):

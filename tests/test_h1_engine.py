@@ -16,7 +16,6 @@ from charpflag import (
     H1Status,
     InternalInconsistencyError,
     andersen_h1,
-    base_p_digits,
     dot_reflect,
     end_weights,
     frobenius_twist,
@@ -77,7 +76,11 @@ def _dense_one_root(mu, lam, alpha, m, p):
         s //= p
     if s < p:
         return _dense_nonzero(lam) if _dense_dominant(lam) else H1Status.zero()
-    digits = base_p_digits(m, p).digits
+    digits = []  # base-p digits of m, least significant first
+    rest = m
+    while rest:
+        rest, digit = divmod(rest, p)
+        digits.append(digit)
     n = len(digits) - 1
     if all(digits[j] == p - 1 for j in range(n)):
         return H1Status.undetermined(

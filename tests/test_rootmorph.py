@@ -1,17 +1,18 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpflag import (
     DimensionMismatchError,
+    DomainError,
     NotPrimeError,
     UnsupportedDatumError,
     PMorphismData,
     RingChar,
     custom_datum,
-    frobenius_p_morphism,
     frobenius_rigidity_verdict,
-    identity_p_morphism,
     make_datum,
     make_torus,
     validate_p_morphism,
@@ -20,19 +21,19 @@ from charpflag import (
 )
 from charpflag.rootmorph import q_admissible
 
-from conftest import prime_power_reference
+from conftest import prime_power_reference, scalar_p_morphism
 
 RINGS = (RingChar.zero(), RingChar.prime(5), RingChar.prime_power(5, 2))
 
 
 def test_frobenius_data_valid_over_prime_field():
-    data = frobenius_p_morphism(make_datum("GL", 3), 5, RingChar.prime(5))
+    data = scalar_p_morphism(make_datum("GL", 3), 5, RingChar.prime(5))
     assert validate_p_morphism(data).valid
 
 
 def test_frobenius_data_fails_admissibility_over_witt_length_two():
     datum = make_datum("GL", 3)
-    data = frobenius_p_morphism(datum, 5, RingChar.prime_power(5, 2))
+    data = scalar_p_morphism(datum, 5, RingChar.prime_power(5, 2))
     verdict = validate_p_morphism(data)
     assert not verdict.valid
     # one admissibility failure per root, nothing else
@@ -41,13 +42,13 @@ def test_frobenius_data_fails_admissibility_over_witt_length_two():
 
 
 def test_frobenius_data_fails_over_characteristic_zero():
-    data = frobenius_p_morphism(make_datum("GL", 3), 5, RingChar.zero())
+    data = scalar_p_morphism(make_datum("GL", 3), 5, RingChar.zero())
     assert not validate_p_morphism(data).valid
 
 
 def test_identity_morphism_is_valid_over_every_ring():
     for ring in RINGS:
-        data = identity_p_morphism(make_datum("Sp", 2), ring)
+        data = scalar_p_morphism(make_datum("Sp", 2), 1, ring)
         assert validate_p_morphism(data).valid
 
 
@@ -124,7 +125,7 @@ def test_dimension_mismatch_raises():
 @given(st.sampled_from(RINGS))
 def test_q_one_is_ring_independent(ring):
     datum = make_datum("SO_even", 3)
-    assert validate_p_morphism(identity_p_morphism(datum, ring)).valid
+    assert validate_p_morphism(scalar_p_morphism(datum, 1, ring)).valid
 
 
 def test_q_admissibility_rule():
@@ -144,6 +145,12 @@ _ADMISSIBILITY_RINGS = (
     + [RingChar.prime(p) for p in (2, 3, 5, 7, 11, 13)]
     + [RingChar.prime_power(p, n) for p, n in ((2, 2), (3, 3), (5, 2), (7, 2))]
 )
+
+
+@pytest.mark.parametrize("n", (2.5, 2.0, True, Fraction(2)), ids=repr)
+def test_ring_exponent_must_be_an_int(n):
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        RingChar.prime_power(5, n)
 
 
 @given(st.integers(-3, 5000), st.sampled_from(_ADMISSIBILITY_RINGS))
@@ -233,6 +240,6 @@ def test_rigidity_verdict_matches_validating_the_frobenius_data(p):
     rings += (RingChar.prime_power(p, 2), RingChar.prime_power(p, 3))
     for datum in _rigidity_grid_data():
         for ring in rings:
-            expected = validate_p_morphism(frobenius_p_morphism(datum, p, ring)).valid
+            expected = validate_p_morphism(scalar_p_morphism(datum, p, ring)).valid
             verdict = frobenius_rigidity_verdict(datum, ring, p=p)
             assert verdict.lift_possible == expected, (datum.name, ring, p)

@@ -26,6 +26,17 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_every_export_exists_once():
+    assert len(set(charpflag.__all__)) == len(charpflag.__all__)
+    assert [name for name in charpflag.__all__ if not hasattr(charpflag, name)] == []
+
+
+def test_star_import_in_a_fresh_namespace():
+    namespace = {}
+    exec("from charpflag import *", namespace)
+    assert set(charpflag.__all__) <= set(namespace)
+
+
 def _raised_name(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return exc.id if isinstance(exc, ast.Name) else None
