@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from .errors import IntegerBoundError, NotPrimeError
@@ -12,8 +13,13 @@ from .errors import IntegerBoundError, NotPrimeError
 TRIAL_DIVISION_BOUND = 2**31
 
 
+@lru_cache(maxsize=256)
 def _smallest_factor(n: int) -> int:
-    """Smallest prime factor of 2 <= n <= TRIAL_DIVISION_BOUND."""
+    """Smallest prime factor of 2 <= n <= TRIAL_DIVISION_BOUND.
+
+    Kept for the last 256 n, since a certificate checks its p once per row.
+    Callers pass only an ``int``: the cache would answer ``7.0`` as ``7``.
+    """
     if n > TRIAL_DIVISION_BOUND:
         raise IntegerBoundError(f"{n} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
     if n % 2 == 0:

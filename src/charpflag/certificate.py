@@ -33,7 +33,7 @@ from .cohomology import (
     aggregate_h1_statuses,
     andersen_h1,
 )
-from .lattice import DENSE_LISTING_MAX, Root, Weight, is_dominant, make_datum, pairing
+from .lattice import DENSE_LISTING_MAX, Root, Weight, dynkin_labels, is_dominant, make_datum
 from .rootmorph import RigidityVerdict, RingChar, frobenius_rigidity_verdict
 
 CASE_DIAGONAL = "diagonal"
@@ -47,7 +47,7 @@ VERDICT_NO_LIFT = "no_lift_where_p_nonzero"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CaseRow:
     """One End-bundle weight with its case tag and H^1 classification."""
 
@@ -56,6 +56,15 @@ class CaseRow:
     chosen_simple_root: Optional[Root]
     pairing_value: Optional[int]
     h1: H1Status
+
+    def __init__(self, weight, case_tag, chosen_simple_root, pairing_value, h1):
+        # Each slot is set once through its descriptor: a generated frozen
+        # ``__init__`` would call ``object.__setattr__`` once per field.
+        _set_row_weight(self, weight)
+        _set_row_case(self, case_tag)
+        _set_row_root(self, chosen_simple_root)
+        _set_row_pairing(self, pairing_value)
+        _set_row_h1(self, h1)
 
     def to_json(self) -> dict:
         return {
@@ -67,6 +76,13 @@ class CaseRow:
             "pairing": self.pairing_value,
             "h1": self.h1.to_json(),
         }
+
+
+_set_row_weight = CaseRow.weight.__set__
+_set_row_case = CaseRow.case_tag.__set__
+_set_row_root = CaseRow.chosen_simple_root.__set__
+_set_row_pairing = CaseRow.pairing_value.__set__
+_set_row_h1 = CaseRow.h1.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,37 +142,15 @@ class Certificate:
         }
 
 
-# ``_case_row`` fills a CaseRow through its slot descriptors, as
-# ``lattice._trusted_weight`` fills a Weight: the dataclass ``__init__`` of a
-# frozen class calls ``object.__setattr__`` once per field.
-_set_row_weight = CaseRow.weight.__set__
-_set_row_case = CaseRow.case_tag.__set__
-_set_row_root = CaseRow.chosen_simple_root.__set__
-_set_row_pairing = CaseRow.pairing_value.__set__
-_set_row_h1 = CaseRow.h1.__set__
-
-
-def _case_row(
-    weight: Weight, case_tag: str, root: Optional[Root], value: Optional[int], h1: H1Status
-) -> CaseRow:
-    row = object.__new__(CaseRow)
-    _set_row_weight(row, weight)
-    _set_row_case(row, case_tag)
-    _set_row_root(row, root)
-    _set_row_pairing(row, value)
-    _set_row_h1(row, h1)
-    return row
-
-
 def classify_weight(mu: Weight, p: int) -> CaseRow:
     """Classify one End-bundle weight mu = p(l_i - l_j) into its case row.
 
     Records the case's standard simple root (l_j - l_{j+1} for i < j,
     l_{i-1} - l_i for i > j, none on the diagonal), the pairing of the
     dot-reflected weight with that root, and the H^1 status of mu.  The
-    recorded pairing is checked against its closed form, p - 2 for the far
-    cases and 2p - 2 for the adjacent case; a mismatch raises
-    ``InternalInconsistencyError``.
+    pairing is read from the labels of mu that ``andersen_h1`` kept, and
+    checked against its closed form, p - 2 for the far cases and 2p - 2 for
+    the adjacent case; a mismatch raises ``InternalInconsistencyError``.
     """
     require_prime(p)
     datum = mu.datum
@@ -165,7 +159,7 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     coords = mu.coords
     support = list(compress(range(len(coords)), coords))
     if not support:
-        return _case_row(mu, CASE_DIAGONAL, None, None, andersen_h1(mu, p))
+        return CaseRow(mu, CASE_DIAGONAL, None, None, andersen_h1(mu, p))
     # The shape p(l_i - l_j): exactly two nonzero coordinates, p and -p.
     a, b = support[0], support[-1]
     x = coords[a]
@@ -181,21 +175,22 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
                 f"case i < j needs the simple root l_{j} - l_{j + 1}, "
                 f"which does not exist in {datum.name}"
             )
-        root = datum.simple_roots[j - 1]
+        k = j - 1
         expected = p - 2
     elif i == j + 1:
         case = CASE_ADJACENT
-        root = datum.simple_roots[i - 2]
+        k = i - 2
         expected = 2 * p - 2
     else:
         case = CASE_LOWER_FAR
-        root = datum.simple_roots[i - 2]
+        k = i - 2
         expected = p - 2
-    # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2.
-    value = -pairing(mu, root) - 2
+    h1 = andersen_h1(mu, p)
+    # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2, from the labels kept on mu.
+    value = -dynkin_labels(mu).get(k, 0) - 2
     if value != expected:
         raise InternalInconsistencyError(f"pairing {value} != closed form {expected} for {mu!r}")
-    return _case_row(mu, case, root, value, andersen_h1(mu, p))
+    return CaseRow(mu, case, datum.simple_roots[k], value, h1)
 
 
 def _validate_parameters(d: int, n: int, p: int) -> None:

@@ -164,8 +164,7 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
     m = re.fullmatch(r"p\^?(\d+)", s)
     if m:
         k = _decimal(m.group(1), "ring exponent")
-        return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
-    if s.isdecimal():
+    elif s.isdecimal():
         value = _decimal(s, "ring characteristic")
         if value == 0:  # any spelling: 0, 00, ...
             return RingChar.zero()
@@ -177,8 +176,9 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
         base, k = split
         if p != base:
             raise UsageError(f"--ring {spec} conflicts with --p {p}")
-        return RingChar.prime(base) if k == 1 else RingChar.prime_power(base, k)
-    raise UsageError(f"unrecognized ring characteristic {spec!r}; use 0, p, or p^N")
+    else:
+        raise UsageError(f"unrecognized ring characteristic {spec!r}; use 0, p, or p^N")
+    return RingChar.prime(p) if k == 1 else RingChar.prime_power(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.file}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.file} is not valid JSON: {exc}")
@@ -536,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(batch_args[0], "r", encoding="utf-8") as fh:
                     lines = fh.read().splitlines()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise UsageError(f"cannot read batch file: {exc}")
             worst = EXIT_OK
             for line in lines:

@@ -47,7 +47,7 @@ def _digits(m: int, p: int) -> list[int]:
 # Statuses
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class H1Status:
     """Verdict for H^1(G/B, L_mu): zero, nonzero with largest weight, or open."""
 
@@ -55,9 +55,12 @@ class H1Status:
     highest_weight: Optional[Weight] = None
     reason: Optional[str] = None
 
-    @classmethod
-    def zero(cls) -> "H1Status":
-        return _ZERO
+    def __init__(self, status, highest_weight=None, reason=None):
+        # Each slot is set once through its descriptor: a generated frozen
+        # ``__init__`` would call ``object.__setattr__`` once per field.
+        _set_status(self, status)
+        _set_highest_weight(self, highest_weight)
+        _set_reason(self, reason)
 
     @classmethod
     def nonzero(cls, highest_weight: Weight) -> "H1Status":
@@ -65,13 +68,7 @@ class H1Status:
             raise InternalInconsistencyError(
                 f"largest weight {highest_weight!r} of a nonzero H^1 is not dominant"
             )
-        # Filled through the slot descriptors: the frozen dataclass
-        # ``__init__`` calls ``object.__setattr__`` once per field.
-        status = object.__new__(cls)
-        _set_status(status, "nonzero")
-        _set_highest_weight(status, highest_weight)
-        _set_reason(status, None)
-        return status
+        return cls("nonzero", highest_weight)
 
     @classmethod
     def undetermined(cls, reason: str) -> "H1Status":
@@ -96,10 +93,10 @@ class H1Status:
         }
 
 
-_ZERO = H1Status("zero")
 _set_status = H1Status.status.__set__
 _set_highest_weight = H1Status.highest_weight.__set__
 _set_reason = H1Status.reason.__set__
+_ZERO = H1Status("zero")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .arith import require_prime
-from .errors import DimensionMismatchError, DomainError, ResiduePrimeError
+from .errors import DatumMismatchError, DimensionMismatchError, DomainError, ResiduePrimeError
 from .lattice import Root, RootDatum
 
 
@@ -133,8 +133,21 @@ def _transpose(mat: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*mat))
 
 
+def _entry(mapping: Mapping[Root, object], name: str, alpha: Root):
+    try:
+        return mapping[alpha]
+    except KeyError:
+        raise DimensionMismatchError(
+            f"{name} has no entry for the source root {alpha.vector.coords}"
+        ) from None
+
+
 def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
-    """Check the two lattice relations and q-admissibility, per source root."""
+    """Check the two lattice relations and q-admissibility, per source root.
+
+    A root missing from ``d_map`` or ``q``, an image outside the target's
+    roots or a multiplier that is not an ``int`` raises a typed error.
+    """
     src, tgt = data.source, data.target
     if len(data.h) != src.rank or any(len(row) != tgt.rank for row in data.h):
         raise DimensionMismatchError(
@@ -144,8 +157,17 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
     h_t = _transpose(data.h)
     failures: list[MorphismFailure] = []
     for alpha in src.roots:
-        image = data.d_map[alpha]
-        q = data.q[alpha]
+        image = _entry(data.d_map, "d_map", alpha)
+        if not isinstance(image, Root) or image.datum is not tgt:
+            raise DatumMismatchError(
+                f"d_map sends the source root {alpha.vector.coords} to {image!r}, "
+                f"which is not a root of {tgt.name}"
+            )
+        q = _entry(data.q, "q", alpha)
+        if type(q) is not int:
+            raise DomainError(
+                f"q of the source root {alpha.vector.coords} must be an int, got {q!r}"
+            )
         if q < 1:
             failures.append(
                 MorphismFailure("q_positive", alpha, f"q = {q} must be a positive integer")

@@ -13,7 +13,13 @@ from charpflag import (
     classify_weight,
     make_datum,
 )
-from charpflag.arith import TRIAL_DIVISION_BOUND, is_prime, prime_power_base, require_prime
+from charpflag.arith import (
+    TRIAL_DIVISION_BOUND,
+    _smallest_factor,
+    is_prime,
+    prime_power_base,
+    require_prime,
+)
 
 from conftest import prime_power_reference
 
@@ -33,6 +39,15 @@ def test_trial_division_is_bounded():
             is_prime(n)
         with pytest.raises(IntegerBoundError, match="exceeds the trial-division bound"):
             prime_power_base(n)
+
+
+def test_a_certificate_trial_divides_its_prime_once():
+    # Each of its 2 d^2 + 6 primality checks asks the same question.
+    _smallest_factor.cache_clear()
+    cert = check_equivariant_smoothness(3, 6, 1000003)
+    assert cert.final_verdict == "no_lift_where_p_nonzero"
+    info = _smallest_factor.cache_info()
+    assert info.misses == 1 and info.hits > 0
 
 
 # A float, a bool or a Fraction equal to a prime is not one: only an int

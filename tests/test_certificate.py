@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,8 @@ def test_classify_pairings_are_affine_in_p():
 def test_classify_checks_the_closed_form_at_runtime(monkeypatch):
     # A raised error, not an assert, so that python -O keeps the check.
     monkeypatch.setattr(
-        "charpflag.certificate.pairing", lambda lam, alpha: pairing(lam, alpha) + 1
+        "charpflag.certificate.dynkin_labels",
+        lambda lam: {k: c + 1 for k, c in dynkin_labels(lam).items()},
     )
     with pytest.raises(InternalInconsistencyError, match="closed form 5"):
         classify_weight(_end_weight(8, 7, 4, 2), 7)
@@ -189,13 +191,18 @@ def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
         evaluated.append((lam.coords, alpha))
         return real_pairing(lam, alpha)
 
-    monkeypatch.setattr(lattice, "pairing", counting)
+    # Every module that binds ``pairing``, so that no call goes uncounted.
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "pairing", None)
+        if name.partition(".")[0] == "charpflag" and bound is real_pairing:
+            monkeypatch.setattr(module, "pairing", counting)
     cert = check_equivariant_smoothness(3, 6, 5)
     assert cert.final_verdict == VERDICT_NO_LIFT
     # Labels pair p(l_i - l_j) with the simple roots whose coroot meets
     # coordinate i or j: 2 for {i, j} = {1, 2}, 3 for {1, 3} and for
     # {2, 3}; each pair of indices gives two rows.  The diagonal rows and
-    # the adjacent rows' largest weight, 0, have no labels to compute.
+    # the adjacent rows' largest weight, 0, have no labels to compute, and
+    # each closed-form check reads its row's labels.
     assert len(evaluated) == 2 * (2 + 3 + 3)
     assert len(set(evaluated)) == len(evaluated)
 

@@ -655,6 +655,17 @@ def test_isogeny_check_malformed_json(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["--batch", "isogeny-check --file"])
+def test_a_file_that_is_not_utf8_is_a_one_line_error(capsys, tmp_path, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"h1 --weight 0,0,0,0 --p 5\n\xff\n")
+    code, out, err = run_cli(capsys, *command.split(), str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: cannot read ")
+    assert "Traceback" not in err and "integer" not in err
+
+
 # ---------------------------------------------------------------------------
 # batch mode and usage
 

@@ -42,7 +42,7 @@ def _dense_nonzero(lam):
 def dense_andersen_h1(mu, p):
     """Andersen's criterion on dense weights (type A, p prime)."""
     if _dense_dominant(mu):
-        return H1Status.zero()
+        return H1Status("zero")
     verdicts = []
     for alpha in mu.datum.simple_roots:
         c = pairing(mu, alpha)
@@ -75,7 +75,7 @@ def _dense_one_root(mu, lam, alpha, m, p):
     while s % p == 0:
         s //= p
     if s < p:
-        return _dense_nonzero(lam) if _dense_dominant(lam) else H1Status.zero()
+        return _dense_nonzero(lam) if _dense_dominant(lam) else H1Status("zero")
     digits = []  # base-p digits of m, least significant first
     rest = m
     while rest:
@@ -87,7 +87,7 @@ def _dense_one_root(mu, lam, alpha, m, p):
             f"all low base-{p} digits of {m} equal {p - 1}; criterion part b) inapplicable"
         )
     if not _dense_dominant(mu + (digits[n] * p**n) * alpha.vector):
-        return H1Status.zero()
+        return H1Status("zero")
     if _dense_dominant(lam):
         return _dense_nonzero(lam)
     m_low = next(j for j in range(n) if digits[j] < p - 1)

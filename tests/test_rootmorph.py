@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpflag import (
+    DatumMismatchError,
     DimensionMismatchError,
     DomainError,
     NotPrimeError,
@@ -120,6 +122,43 @@ def test_dimension_mismatch_raises():
     )
     with pytest.raises(DimensionMismatchError):
         validate_p_morphism(data)
+
+
+@pytest.mark.parametrize(
+    "overrides,error,message",
+    [
+        (
+            {"d_map": {a: a for a in make_datum("GL", 2).roots[1:]}},
+            DimensionMismatchError,
+            r"d_map has no entry for the source root \(1, -1\)",
+        ),
+        (
+            {"q": {a: 1 for a in make_datum("GL", 2).roots[1:]}},
+            DimensionMismatchError,
+            r"q has no entry for the source root \(1, -1\)",
+        ),
+        (
+            {"d_map": dict(zip(make_datum("GL", 2).roots, make_datum("GL", 3).roots))},
+            DatumMismatchError,
+            r"source root \(1, -1\) to Root\(\(1, -1, 0\).*not a root of GL\(2\)",
+        ),
+        (
+            {"q": {a: "2" for a in make_datum("GL", 2).roots}},
+            DomainError,
+            r"q of the source root \(1, -1\) must be an int, got '2'",
+        ),
+        (
+            {"q": {a: 2.0 for a in make_datum("GL", 2).roots}},
+            DomainError,
+            r"q of the source root \(1, -1\) must be an int, got 2.0",
+        ),
+    ],
+    ids=["d_map-missing-root", "q-missing-root", "image-in-GL3", "q-str", "q-float"],
+)
+def test_malformed_morphism_data_raise_typed_errors(overrides, error, message):
+    data = scalar_p_morphism(make_datum("GL", 2), 1, RingChar.zero())
+    with pytest.raises(error, match=message):
+        validate_p_morphism(dataclasses.replace(data, **overrides))
 
 
 @given(st.sampled_from(RINGS))
