@@ -16,6 +16,7 @@ import time
 
 from charpflag import VERDICT_NO_LIFT, check_equivariant_smoothness
 from charpflag.arith import is_prime
+from charpflag.lattice import MAX_RANK
 
 
 def prime_list(text: str) -> list[int]:
@@ -31,12 +32,25 @@ def prime_list(text: str) -> list[int]:
     return primes
 
 
+def max_n(text: str) -> int:
+    """The largest ambient N, 4 <= N <= MAX_RANK, for argparse's ``type=``.
+
+    Below 4 the sweep would check no certificate at all and still exit 0.
+    """
+    n = int(text)
+    if not 4 <= n <= MAX_RANK:
+        raise argparse.ArgumentTypeError(f"{n} is not in 4..{MAX_RANK}")
+    return n
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--primes", type=prime_list, default="5,7,11,13", help="comma-separated primes >= 5"
     )
-    parser.add_argument("--max-N", type=int, default=10, dest="max_n", help="largest ambient N")
+    parser.add_argument(
+        "--max-N", type=max_n, default=10, dest="max_n", help=f"largest ambient N, 4..{MAX_RANK}"
+    )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per case")
     return parser.parse_args(argv)
 

@@ -50,7 +50,6 @@ from .cohomology import (
     weyl_dim,
 )
 from .bundles import (
-    EquivariantBundleWeights,
     end_weights,
     frobenius_twist,
     pullback_filtration,
@@ -114,7 +113,6 @@ __all__ = [
     "bwb_char0",
     "weyl_dim",
     # bundles
-    "EquivariantBundleWeights",
     "end_weights",
     "frobenius_twist",
     "pullback_filtration",

@@ -1,86 +1,62 @@
 """Weight-level model of equivariant vector bundles on Grassmannians.
 
 An equivariant bundle on GL_N/P is determined by a P-representation; this
-module tracks only its multiset of torus weights.  That shadow suffices
-for the tautological bundle on Gr(d, N), its Frobenius twist (which
-multiplies every weight by p), the endomorphism bundle (pairwise weight
-differences), and the induced line-bundle filtration after pulling back
-to the Borel.
+module tracks only its multiset of torus weights, as a tuple of weights
+with multiplicity, so the bundle's rank is the tuple's length.  That
+shadow suffices for the tautological bundle on Gr(d, N), its Frobenius
+twist (which multiplies every weight by p), the endomorphism bundle
+(pairwise weight differences), and the induced line-bundle filtration
+after pulling back to the Borel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
 
-from .errors import DatumMismatchError, RankRangeError
+from .errors import RankRangeError
 from .arith import require_prime
-from .lattice import RootDatum, Weight, _shifted, make_datum
+from .lattice import Weight, _mismatch, _shifted, make_datum
 
 
-@dataclass(frozen=True, slots=True)
-class EquivariantBundleWeights:
-    """Multiset of torus weights of the defining P-representation.
-
-    The multiset cardinality equals the bundle rank; weights are kept with
-    multiplicity (repeated weights matter for rank bookkeeping).
-    """
-
-    datum: RootDatum
-    weights: tuple[Weight, ...]
-    label: str
-
-    def __post_init__(self):
-        datum = self.datum
-        for w in self.weights:
-            if w.datum is not datum:
-                raise DatumMismatchError(
-                    f"weight {w!r} of bundle {self.label} is not a weight of {self.datum.name}"
-                )
-
-    @property
-    def rank(self) -> int:
-        return len(self.weights)
+def _check_grassmannian(d: int, n: int, what: str) -> None:
+    """Raise ``RankRangeError`` unless d and N are ints with 2 <= d <= N - 2."""
+    if type(d) is not int or type(n) is not int:
+        raise RankRangeError(f"{what} requires integer d and N, got d={d!r}, N={n!r}")
+    if not 2 <= d <= n - 2:
+        raise RankRangeError(f"{what} requires 2 <= d <= N - 2, got d={d}, N={n}")
 
 
-def tautological_weights(d: int, n: int) -> EquivariantBundleWeights:
-    """Weights {l_1, ..., l_d} of the tautological subbundle on Gr(d, N).
+def tautological_weights(d: int, n: int) -> tuple[Weight, ...]:
+    """Weights (l_1, ..., l_d) of the tautological subbundle on Gr(d, N).
 
     The parabolic of d x (N-d) block type acts on the fiber through the
     projection onto the d x d block.
     """
-    if not 2 <= d <= n - 2:
-        raise RankRangeError(f"tautological bundle requires 2 <= d <= N - 2, got d={d}, N={n}")
+    _check_grassmannian(d, n, "tautological bundle")
     datum = make_datum("GL", n)
-    return EquivariantBundleWeights(
-        datum=datum,
-        weights=tuple(datum.fundamental_character(i) for i in range(1, d + 1)),
-        label=f"S(d={d},N={n})",
-    )
+    return tuple(datum.fundamental_character(i) for i in range(1, d + 1))
 
 
-def frobenius_twist(bundle: EquivariantBundleWeights, p: int) -> EquivariantBundleWeights:
+def frobenius_twist(weights: tuple[Weight, ...], p: int) -> tuple[Weight, ...]:
     """Frobenius pullback: every weight multiplied by p, rank unchanged."""
     require_prime(p)
-    return EquivariantBundleWeights(
-        datum=bundle.datum,
-        weights=tuple(_shifted(w, _support(w), p - 1) for w in bundle.weights),  # w + (p-1) w
-        label=f"F*{bundle.label}",
-    )
+    return tuple(_shifted(w, _support(w), p - 1) for w in weights)  # w + (p-1) w
 
 
-def end_weights(bundle: EquivariantBundleWeights) -> EquivariantBundleWeights:
-    """Weights of End(E): all pairwise differences, with multiplicity.
+def end_weights(weights: tuple[Weight, ...]) -> tuple[Weight, ...]:
+    """Weights of End(E): all pairwise differences w - v, with multiplicity.
 
     Cardinality is rank^2 and the zero weight occurs at least rank times
-    (the diagonal).
+    (the diagonal).  The weights must share one datum: a difference across
+    data would mix coordinates of two lattices, so it raises
+    ``DatumMismatchError``.
     """
-    supports = [_support(v) for v in bundle.weights]
-    diffs = tuple(_shifted(w, sup, -1) for w in bundle.weights for sup in supports)
-    return EquivariantBundleWeights(
-        datum=bundle.datum, weights=diffs, label=f"End({bundle.label})"
-    )
+    for v in weights:
+        if v.datum is not weights[0].datum:
+            raise _mismatch(weights[0], v)
+    supports = [_support(v) for v in weights]
+    return tuple(_shifted(w, sup, -1) for w in weights for sup in supports)
 
 
 def _support(w: Weight) -> list[tuple[int, int]]:
@@ -89,11 +65,11 @@ def _support(w: Weight) -> list[tuple[int, int]]:
     return [(i, coords[i]) for i in compress(range(len(coords)), coords)]
 
 
-def pullback_filtration(bundle: EquivariantBundleWeights) -> tuple[Weight, ...]:
-    """The bundle's weights in the fixed filtration order (lexicographic).
+def pullback_filtration(weights: tuple[Weight, ...]) -> tuple[Weight, ...]:
+    """The weights in the fixed filtration order (lexicographic).
 
     Models the equivariant line-bundle filtration of the pullback to G/B.
     The true filtration order is not canonical; a fixed total order keeps
     reports deterministic, and every consumer here is order-independent.
     """
-    return tuple(sorted(bundle.weights, key=attrgetter("coords")))
+    return tuple(sorted(weights, key=attrgetter("coords")))

@@ -26,7 +26,13 @@ from .errors import (
     RankRangeError,
     WeightShapeError,
 )
-from .bundles import end_weights, frobenius_twist, pullback_filtration, tautological_weights
+from .bundles import (
+    _check_grassmannian,
+    end_weights,
+    frobenius_twist,
+    pullback_filtration,
+    tautological_weights,
+)
 from .cohomology import (
     FiltrationH1,
     H1Status,
@@ -194,10 +200,7 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
 
 
 def _validate_parameters(d: int, n: int, p: int) -> None:
-    if type(d) is not int or type(n) is not int:
-        raise RankRangeError(f"certificate requires integer d and N, got d={d!r}, N={n!r}")
-    if not 2 <= d <= n - 2:
-        raise RankRangeError(f"certificate requires 2 <= d <= N - 2, got d={d}, N={n}")
+    _check_grassmannian(d, n, "certificate")
     if d > DENSE_LISTING_MAX:
         # A certificate holds d^2 End weights of length N.
         raise RankRangeError(f"certificate d = {d} exceeds the bound {DENSE_LISTING_MAX}")

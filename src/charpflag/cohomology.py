@@ -130,9 +130,7 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     datum = mu.datum
     _require_type_a(datum)
     require_prime(p)
-    labels = mu._labels  # kept by an earlier ``dynkin_labels`` call, if any
-    if labels is None:
-        labels = dynkin_labels(mu)
+    labels = dynkin_labels(mu)
     negatives = 0
     for c in labels.values():
         if c < 0:

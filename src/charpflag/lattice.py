@@ -80,13 +80,11 @@ _FAMILY_ALIASES = {
 
 
 def normalize_family(family: str) -> str:
-    key = family.lower().replace("-", "").replace("_", "").replace(" ", "")
-    try:
-        return _FAMILY_ALIASES[key]
-    except KeyError:
-        raise RankRangeError(
-            f"unknown datum family {family!r}; expected one of {', '.join(FAMILIES)}"
-        ) from None
+    if isinstance(family, str):
+        key = family.lower().replace("-", "").replace("_", "").replace(" ", "")
+        if key in _FAMILY_ALIASES:
+            return _FAMILY_ALIASES[key]
+    raise RankRangeError(f"unknown datum family {family!r}; expected one of {', '.join(FAMILIES)}")
 
 
 class RootDatum:
@@ -584,10 +582,7 @@ def dot_reflect(lam: Weight, alpha: Root) -> Weight:
 
 def is_dominant(lam: Weight) -> bool:
     """True iff <lam, alpha^vee> >= 0 for every simple root alpha."""
-    labels = lam._labels  # kept by an earlier ``dynkin_labels`` call, if any
-    if labels is None:
-        labels = dynkin_labels(lam)
-    for c in labels.values():
+    for c in dynkin_labels(lam).values():
         if c < 0:
             return False
     return True
@@ -686,7 +681,7 @@ def make_datum(family: str, n: int) -> RootDatum:
     """
     family = normalize_family(family)
     # Checked before the cache, where 2.0 would find the entry for 2.
-    _check_rank(n, family)
+    _check_rank(n, family, 1 if family in ("GL", "SL", "Torus") else 2)
     return _build_datum(family, n)
 
 
@@ -695,21 +690,18 @@ def make_torus(n: int) -> RootDatum:
     return make_datum("Torus", n)
 
 
-def _check_rank(rank, label: str) -> None:
+def _check_rank(rank, label: str, least: int = 0) -> None:
+    """Raise ``RankRangeError`` unless rank is an int with least <= rank <= MAX_RANK."""
     if type(rank) is not int:
         raise RankRangeError(f"{label} rank must be an integer, got {rank!r}")
+    if rank < least:
+        raise RankRangeError(f"{label} requires n >= {least}, got {rank}")
     if rank > MAX_RANK:
         raise RankRangeError(f"{label} rank {rank} exceeds the bound {MAX_RANK}")
 
 
 @lru_cache(maxsize=None)
 def _build_datum(family: str, n: int) -> RootDatum:
-    if family in ("GL", "SL", "Torus"):
-        if n < 1:
-            raise RankRangeError(f"{family} requires n >= 1, got {n}")
-    elif n < 2:
-        raise RankRangeError(f"{family} requires n >= 2, got {n}")
-
     # Supports of l_i - l_j and l_i + l_j (i < j), of l_i, and of the
     # simple l_k - l_{k+1}, scaled by s.
     def minus(s: int) -> list[Support]:
@@ -773,8 +765,8 @@ def custom_datum(
     simple coroot (adjoint data).  The data come from the caller, so the
     root list is built and checked here: data violating the root-datum
     axioms, or simple roots that are not a base of the positive roots,
-    raise ``InvalidRootDatumError``; a rank that is not an ``int``, or
-    above ``MAX_RANK``, raises ``RankRangeError``.
+    raise ``InvalidRootDatumError``; a rank that is not an ``int``, is
+    negative or is above ``MAX_RANK`` raises ``RankRangeError``.
     """
     _check_rank(rank, name)
 

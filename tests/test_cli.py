@@ -467,6 +467,26 @@ def test_isogeny_check_bounds_a_custom_rank(capsys, tmp_path):
     assert err.endswith(": custom-source rank 10000000 exceeds the bound 1024\n")
 
 
+def test_isogeny_check_rejects_a_negative_custom_rank(capsys, tmp_path):
+    source = {"rank": -1, "positive_roots": [], "simple_indices": []}
+    path = _write_morphism(tmp_path, {"source": source, "target": source, "h": [[1]]})
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"usage error: invalid morphism data in {path}: custom-source requires n >= 0, got -1\n"
+    )
+
+
+def test_isogeny_check_reports_a_null_family_as_invalid_data(capsys, tmp_path):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(source={"type": None, "n": 3}))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"usage error: invalid morphism data in {path}: unknown datum family None; "
+        "expected one of GL, SL, Sp, SO_odd, SO_even, Torus\n"
+    )
+
+
 @pytest.mark.parametrize(
     "roots,simple,what",
     [

@@ -158,7 +158,7 @@ def test_empty_filtration_is_zero():
 
 
 def test_end_bundle_filtration_is_trivial_module():
-    weights = end_weights(frobenius_twist(tautological_weights(2, 7), 5)).weights
+    weights = end_weights(frobenius_twist(tautological_weights(2, 7), 5))
     # Independent aggregation: run the per-weight criterion and combine by
     # the stated rule.
     statuses = [andersen_h1(w, 5) for w in weights]
@@ -201,7 +201,7 @@ def test_filtration_with_undetermined_weight_is_unknown():
 
 
 def test_filtration_is_order_independent():
-    weights = list(end_weights(frobenius_twist(tautological_weights(3, 8), 7)).weights)
+    weights = list(end_weights(frobenius_twist(tautological_weights(3, 8), 7)))
     rng = random.Random(11)
     reference = aggregate_h1_statuses(andersen_h1(w, 7) for w in weights)
     for _ in range(5):

@@ -88,6 +88,9 @@ def test_rank_range_errors():
         make_datum("Sp", 1)
     with pytest.raises(RankRangeError):
         make_datum("E8", 8)
+    for family in (None, 3, ["GL"]):  # not a string
+        with pytest.raises(RankRangeError, match=re.escape(f"unknown datum family {family!r}")):
+            make_datum(family, 3)
 
 
 def test_make_datum_returns_same_handle():
@@ -288,6 +291,9 @@ def test_custom_datum_rank_is_bounded():
     assert custom_datum(MAX_RANK, [], []).rank == MAX_RANK
     with pytest.raises(RankRangeError, match="custom rank 1025 exceeds the bound 1024"):
         custom_datum(MAX_RANK + 1, [], [])
+    assert custom_datum(0, [], []).rank == 0
+    with pytest.raises(RankRangeError, match="custom requires n >= 0, got -1"):
+        custom_datum(-1, [], [])
 
 
 @pytest.mark.parametrize(

@@ -91,8 +91,10 @@ def test_the_benchmark_tracer_sees_every_certificate_row():
         "check_equivariant_smoothness(3, 6, 5)\n"
         "calls = tracer.calls\n"
         "print(calls['certificate.classify_weight'], calls['cohomology.andersen_h1'],"
-        " calls['lattice.pairing'])\n"
+        " calls['lattice.pairing'], tracer.counters['bundles.weights_built'])\n"
     )
-    classified, decided, pairings = map(int, stdout.split())
+    classified, decided, pairings, built = map(int, stdout.split())
     assert (classified, decided) == (9, 9)
     assert pairings > 0
+    # S, F*S, End(F*S) and its filtration: 3 + 3 + 9 + 9 weights.
+    assert built == 24
