@@ -16,7 +16,10 @@ import time
 
 from charpflag import VERDICT_NO_LIFT, check_equivariant_smoothness
 from charpflag.arith import is_prime
-from charpflag.lattice import MAX_RANK
+from charpflag.lattice import DENSE_LISTING_MAX, MAX_RANK
+
+# The sweep's largest d is N - 2, and a certificate takes d <= DENSE_LISTING_MAX.
+_LARGEST_N = DENSE_LISTING_MAX + 2
 
 
 def prime_list(text: str) -> list[int]:
@@ -33,13 +36,20 @@ def prime_list(text: str) -> list[int]:
 
 
 def max_n(text: str) -> int:
-    """The largest ambient N, 4 <= N <= MAX_RANK, for argparse's ``type=``.
+    """The largest ambient N, 4 <= N <= _LARGEST_N, for argparse's ``type=``.
 
     Below 4 the sweep would check no certificate at all and still exit 0.
+    Past _LARGEST_N it would reach a d that no certificate takes, after every
+    smaller N had run.  An N that is not a datum rank at all is reported
+    against MAX_RANK.
     """
     n = int(text)
     if not 4 <= n <= MAX_RANK:
         raise argparse.ArgumentTypeError(f"{n} is not in 4..{MAX_RANK}")
+    if n > _LARGEST_N:
+        raise argparse.ArgumentTypeError(
+            f"{n} exceeds {_LARGEST_N}: a certificate takes d <= {DENSE_LISTING_MAX}"
+        )
     return n
 
 
@@ -49,7 +59,7 @@ def parse_args(argv=None):
         "--primes", type=prime_list, default="5,7,11,13", help="comma-separated primes >= 5"
     )
     parser.add_argument(
-        "--max-N", type=max_n, default=10, dest="max_n", help=f"largest ambient N, 4..{MAX_RANK}"
+        "--max-N", type=max_n, default=10, dest="max_n", help=f"largest ambient N, 4..{_LARGEST_N}"
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per case")
     return parser.parse_args(argv)

@@ -52,6 +52,11 @@ STANDING_ASSUMPTIONS = ("grassmannian_rigid", "h2_structure_sheaf_vanishes")
 VERDICT_NO_LIFT = "no_lift_where_p_nonzero"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# Off-diagonal H^1 statuses without a largest weight, by (andersen_h1, datum,
+# p, i, j); emptied at the cap.  See ``classify_weight``.
+_H1_MEMO_MAX = 1 << 14
+_h1_memo: dict = {}
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class CaseRow:
@@ -153,10 +158,12 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
 
     Records the case's standard simple root (l_j - l_{j+1} for i < j,
     l_{i-1} - l_i for i > j, none on the diagonal), the pairing of the
-    dot-reflected weight with that root, and the H^1 status of mu.  The
-    pairing is read from the labels of mu that ``andersen_h1`` kept, and
-    checked against its closed form, p - 2 for the far cases and 2p - 2 for
-    the adjacent case; a mismatch raises ``InternalInconsistencyError``.
+    dot-reflected weight with that root, and the H^1 status of mu.  An
+    off-diagonal status without a largest weight (every far row) is decided
+    once per process and taken from ``_h1_memo`` afterwards.  The pairing is
+    read from the labels of mu and checked against its closed form, p - 2
+    for the far cases and 2p - 2 for the adjacent case; a mismatch raises
+    ``InternalInconsistencyError``.
     """
     require_prime(p)
     datum = mu.datum
@@ -191,8 +198,16 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
         case = CASE_LOWER_FAR
         k = i - 2
         expected = p - 2
-    h1 = andersen_h1(mu, p)
-    # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2, from the labels kept on mu.
+    # Keyed by the procedure too, so a substituted one decides for itself.
+    key = (andersen_h1, datum, p, i, j)
+    h1 = _h1_memo.get(key)
+    if h1 is None:
+        h1 = andersen_h1(mu, p)
+        if h1.highest_weight is None:  # an N-coordinate weight is never kept
+            if len(_h1_memo) >= _H1_MEMO_MAX:
+                _h1_memo.clear()
+            _h1_memo[key] = h1
+    # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2, from the labels of mu.
     value = -dynkin_labels(mu).get(k, 0) - 2
     if value != expected:
         raise InternalInconsistencyError(f"pairing {value} != closed form {expected} for {mu!r}")

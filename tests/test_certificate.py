@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from charpflag import (
     make_datum,
     pairing,
 )
-from charpflag import lattice
+from charpflag import certificate, cli, lattice
 from charpflag.lattice import DENSE_LISTING_MAX, MAX_RANK, Weight
 from charpflag.certificate import (
     CASE_ADJACENT,
@@ -387,3 +388,83 @@ def test_nonzero_highest_weight_rows_never_certify():
     )
     cert = certificate_from_rows(2, 6, 5, list(base.rows) + [bad])
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# The far-row H^1 memo: each vanishing row is decided once per process and
+# per decision procedure, and every other check still runs on every row.
+
+
+def _counting_h1(calls):
+    def counting(mu, p):
+        calls.append(mu.coords)
+        return andersen_h1(mu, p)
+
+    return counting
+
+
+def test_a_substituted_decision_procedure_is_not_answered_from_the_memo(monkeypatch, capsys):
+    warm = check_equivariant_smoothness(4, 8, 7)
+    assert warm.final_verdict == VERDICT_NO_LIFT
+    injected = H1Status.undetermined("injected")
+    target = _end_weight(8, 7, 1, 3)  # the upper far row p(l_1 - l_3)
+
+    def substituted(mu, p):
+        return injected if mu == target else andersen_h1(mu, p)
+
+    monkeypatch.setattr(certificate, "andersen_h1", substituted)
+    cert = check_equivariant_smoothness(4, 8, 7)
+    assert cert.final_verdict == VERDICT_INCONCLUSIVE
+    assert [row.h1 for row in cert.rows if row.weight == target] == [injected]
+    assert cli.main(["grassmann-check", "--d", "4", "--N", "8", "--p", "7"]) == 2
+    assert "inconclusive" in capsys.readouterr().out
+
+
+def test_the_memo_decides_each_far_row_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(certificate, "andersen_h1", _counting_h1(calls))
+    sizes = list(range(2, 9))
+    random.Random(20261019).shuffle(sizes)
+    built = {d: json.dumps(check_equivariant_smoothness(d, 10, 7).to_json()) for d in sizes}
+    # Every certificate decides its d diagonal rows and d - 1 adjacent rows;
+    # the d = 8 corner holds 8 * 8 - 8 - 7 = 49 far rows, each decided once.
+    assert len(calls) == sum(range(2, 9)) + sum(range(1, 8)) + 49
+    off_diagonal = [c for c in calls if any(c)]
+    assert (len(off_diagonal), len(set(off_diagonal))) == (28 + 49, 7 + 49)
+    for d in sizes:
+        monkeypatch.setattr(certificate, "andersen_h1", _counting_h1([]))
+        assert json.dumps(check_equivariant_smoothness(d, 10, 7).to_json()) == built[d]
+
+
+def test_a_memo_hit_still_checks_the_closed_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr(certificate, "andersen_h1", _counting_h1(calls))
+    assert classify_weight(_end_weight(8, 7, 4, 2), 7).h1.is_zero  # lower far: kept
+    monkeypatch.setattr(
+        "charpflag.certificate.dynkin_labels",
+        lambda lam: {k: c + 1 for k, c in dynkin_labels(lam).items()},
+    )
+    with pytest.raises(InternalInconsistencyError, match="closed form 5"):
+        classify_weight(_end_weight(8, 7, 4, 2), 7)
+    assert len(calls) == 1  # the second row was a hit
+
+
+def test_the_memo_is_bounded_and_a_clear_keeps_the_bytes(monkeypatch):
+    # Five certificates at the d bound hold 5 * (64^2 - 64 - 63) = 19,845 far
+    # rows, more than the memo keeps.
+    cap = certificate._H1_MEMO_MAX
+    sizes = []
+
+    def observing(mu, p):
+        sizes.append(len(certificate._h1_memo))
+        return andersen_h1(mu, p)
+
+    monkeypatch.setattr(certificate, "andersen_h1", observing)
+    d, n = DENSE_LISTING_MAX, DENSE_LISTING_MAX + 2
+    primes = (5, 7, 11, 13, 17)
+    first = [json.dumps(check_equivariant_smoothness(d, n, p).to_json()) for p in primes]
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo was emptied
+    again = [json.dumps(check_equivariant_smoothness(d, n, p).to_json()) for p in primes]
+    assert again == first
+    assert max(sizes) <= cap
+    assert len(certificate._h1_memo) <= cap

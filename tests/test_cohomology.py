@@ -194,6 +194,55 @@ def test_andersen_h1_agrees_on_gl_and_sl():
     assert nonzero > 500
 
 
+
+# Identities of H^1(G/B, L_mu) that do not use Andersen's digit analysis: on
+# GL(n), tensoring with a power of det shifts mu and the cohomology by
+# c(1, ..., 1), and the diagram automorphism -w0 maps L_mu to L_(-w0 mu) and
+# a largest weight lam to -w0 lam.  Each test draws seeded GL(2..6) weights at
+# p in {2, 3, 5, 7} with |coords| <= 3p^2.
+METAMORPHIC_PRIMES = (2, 3, 5, 7)
+METAMORPHIC_WEIGHTS = 3000
+
+
+def _metamorphic_cases(seed):
+    rng = random.Random(seed)
+    for _ in range(METAMORPHIC_WEIGHTS):
+        n, p = rng.randint(2, 6), rng.choice(METAMORPHIC_PRIMES)
+        bound = 3 * p * p
+        yield rng, make_datum("GL", n), [rng.randint(-bound, bound) for _ in range(n)], p
+
+
+def _mapped(status, image):
+    """status with its largest weight's coordinates sent through image."""
+    weight = status.highest_weight
+    return (status.status, None if weight is None else image(weight.coords), status.reason)
+
+
+def _assert_metamorphic(seed, image_of):
+    statuses = set()
+    for rng, datum, coords, p in _metamorphic_cases(seed):
+        image = image_of(rng, p)
+        expected = _mapped(andersen_h1(datum.weight(coords), p), image)
+        actual = andersen_h1(datum.weight(image(coords)), p)
+        assert _mapped(actual, tuple) == expected, (coords, p)
+        statuses.add(expected[0])
+    assert statuses == {"zero", "nonzero", "undetermined"}
+
+
+def test_andersen_h1_commutes_with_a_central_shift():
+    def image_of(rng, p):
+        c = rng.randint(-3 * p * p, 3 * p * p)
+        return lambda coords: tuple(x + c for x in coords)
+
+    _assert_metamorphic(20261019, image_of)
+
+
+def test_andersen_h1_commutes_with_the_diagram_flip():
+    def image_of(rng, p):
+        return lambda coords: tuple(-x for x in reversed(coords))
+
+    _assert_metamorphic(20261020, image_of)
+
 def test_filtration_with_undetermined_weight_is_unknown():
     d = make_datum("GL", 4)
     weights = [d.zero(), d.weight((0, 2, 0, 0))]

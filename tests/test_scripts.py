@@ -64,3 +64,20 @@ def test_sweep_reports_a_max_n_that_checks_nothing_as_a_usage_error(capsys, max_
 def test_sweep_at_the_smallest_max_n_checks_one_certificate_per_prime(capsys):
     assert _sweep().main(["--primes", "5,7", "--max-N", "4"]) == 0
     assert "2 certificates, 0 failures" in capsys.readouterr().out
+
+
+def test_sweep_rejects_a_max_n_past_the_certificate_bound_before_any_work(capsys):
+    # N = 67 would reach d = 65 > DENSE_LISTING_MAX after sweeping every smaller N.
+    with pytest.raises(SystemExit) as exc:
+        _sweep().main(["--primes", "5", "--max-N", "67"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --max-N: 67 exceeds 66: a certificate takes d <= 64\n"
+    )
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_parses_the_largest_max_n():
+    assert _sweep().parse_args(["--max-N", "66"]).max_n == 66
