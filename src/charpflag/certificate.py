@@ -15,7 +15,6 @@ certificate never overstates a vanishing claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional
 
@@ -39,7 +38,15 @@ from .cohomology import (
     aggregate_h1_statuses,
     andersen_h1,
 )
-from .lattice import DENSE_LISTING_MAX, Root, Weight, dynkin_labels, is_dominant, make_datum
+from .lattice import (
+    DENSE_LISTING_MAX,
+    Root,
+    Weight,
+    _Value,
+    dynkin_labels,
+    is_dominant,
+    make_datum,
+)
 from .rootmorph import RigidityVerdict, RingChar, frobenius_rigidity_verdict
 
 CASE_DIAGONAL = "diagonal"
@@ -58,9 +65,10 @@ _H1_MEMO_MAX = 1 << 14
 _h1_memo: dict = {}
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CaseRow:
+class CaseRow(_Value):
     """One End-bundle weight with its case tag and H^1 classification."""
+
+    __slots__ = _fields = ("weight", "case_tag", "chosen_simple_root", "pairing_value", "h1")
 
     weight: Weight
     case_tag: str
@@ -69,8 +77,6 @@ class CaseRow:
     h1: H1Status
 
     def __init__(self, weight, case_tag, chosen_simple_root, pairing_value, h1):
-        # Each slot is set once through its descriptor: a generated frozen
-        # ``__init__`` would call ``object.__setattr__`` once per field.
         _set_row_weight(self, weight)
         _set_row_case(self, case_tag)
         _set_row_root(self, chosen_simple_root)
@@ -96,18 +102,35 @@ _set_row_pairing = CaseRow.pairing_value.__set__
 _set_row_h1 = CaseRow.h1.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionCheck:
+class ConditionCheck(_Value):
+    __slots__ = _fields = ("holds", "detail")
+
     holds: bool
     detail: str
+
+    def __init__(self, holds, detail):
+        ConditionCheck.holds.__set__(self, holds)
+        ConditionCheck.detail.__set__(self, detail)
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "detail": self.detail}
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(_Value):
     """Structured record of the full case analysis and the final verdict."""
+
+    __slots__ = _fields = (
+        "d",
+        "N",
+        "p",
+        "rows",
+        "condition_i",
+        "condition_ii",
+        "condition_iii",
+        "rigidity_mod_p_squared",
+        "rigidity_char_zero",
+        "assumptions",
+    )
 
     d: int
     N: int
@@ -118,7 +141,31 @@ class Certificate:
     condition_iii: ConditionCheck
     rigidity_mod_p_squared: RigidityVerdict
     rigidity_char_zero: RigidityVerdict
-    assumptions: tuple[str, ...] = STANDING_ASSUMPTIONS
+    assumptions: tuple[str, ...]
+
+    def __init__(
+        self,
+        d,
+        N,
+        p,
+        rows,
+        condition_i,
+        condition_ii,
+        condition_iii,
+        rigidity_mod_p_squared,
+        rigidity_char_zero,
+        assumptions=STANDING_ASSUMPTIONS,
+    ):
+        Certificate.d.__set__(self, d)
+        Certificate.N.__set__(self, N)
+        Certificate.p.__set__(self, p)
+        Certificate.rows.__set__(self, rows)
+        Certificate.condition_i.__set__(self, condition_i)
+        Certificate.condition_ii.__set__(self, condition_ii)
+        Certificate.condition_iii.__set__(self, condition_iii)
+        Certificate.rigidity_mod_p_squared.__set__(self, rigidity_mod_p_squared)
+        Certificate.rigidity_char_zero.__set__(self, rigidity_char_zero)
+        Certificate.assumptions.__set__(self, assumptions)
 
     @property
     def rigidity_no_lift(self) -> bool:

@@ -13,13 +13,12 @@ fail, the answer is an explicit ``undetermined`` status, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import DomainError, InternalInconsistencyError, UnsupportedDatumError
 from .arith import require_prime
-from .lattice import Root, RootDatum, Weight, _shifted, cartan_column, dynkin_labels
+from .lattice import Root, RootDatum, Weight, _shifted, _Value, cartan_column, dynkin_labels
 from .lattice import is_dominant, pairing, positive_root_sum
 
 
@@ -47,17 +46,16 @@ def _digits(m: int, p: int) -> list[int]:
 # Statuses
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class H1Status:
+class H1Status(_Value):
     """Verdict for H^1(G/B, L_mu): zero, nonzero with largest weight, or open."""
 
+    __slots__ = _fields = ("status", "highest_weight", "reason")
+
     status: str  # "zero" | "nonzero" | "undetermined"
-    highest_weight: Optional[Weight] = None
-    reason: Optional[str] = None
+    highest_weight: Optional[Weight]
+    reason: Optional[str]
 
     def __init__(self, status, highest_weight=None, reason=None):
-        # Each slot is set once through its descriptor: a generated frozen
-        # ``__init__`` would call ``object.__setattr__`` once per field.
         _set_status(self, status)
         _set_highest_weight(self, highest_weight)
         _set_reason(self, reason)
@@ -251,12 +249,17 @@ def aggregate_h1_statuses(statuses: Iterable[H1Status]) -> FiltrationH1:
 # Characteristic-zero oracle
 
 
-@dataclass(frozen=True, slots=True)
-class BwbStatus:
+class BwbStatus(_Value):
     """Classical Borel--Weil--Bott answer: all-zero, or one cohomology degree."""
 
-    degree: Optional[int] = None
-    highest_weight: Optional[Weight] = None
+    __slots__ = _fields = ("degree", "highest_weight")
+
+    degree: Optional[int]
+    highest_weight: Optional[Weight]
+
+    def __init__(self, degree=None, highest_weight=None):
+        BwbStatus.degree.__set__(self, degree)
+        BwbStatus.highest_weight.__set__(self, highest_weight)
 
     @property
     def all_zero(self) -> bool:

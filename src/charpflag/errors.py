@@ -62,3 +62,7 @@ class InternalInconsistencyError(CharpFlagError, RuntimeError):
 
     This signals an implementation bug, never a mathematical outcome.
     """
+
+
+class _FrozenFieldError(CharpFlagError, AttributeError):
+    """Assignment to, or deletion of, an attribute of an immutable value."""

@@ -34,7 +34,8 @@ everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from _thread import allocate_lock
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import factorial, gcd
@@ -51,6 +52,7 @@ from .errors import (
     NonSimpleRootError,
     RankRangeError,
     UnsupportedDatumError,
+    _FrozenFieldError,
 )
 
 # Rank bound for building a datum.  The root list of a rank-n classical
@@ -100,7 +102,7 @@ class RootDatum:
     has been checked.  A certificate on GL(N) reads only the N-1 simple
     roots and never builds the N(N-1) others.  Instances compare by
     identity; ``make_datum`` caches construction so repeated calls with
-    the same arguments return the same handle.
+    the same arguments return the same handle while it is in use.
     """
 
     __slots__ = (
@@ -113,6 +115,7 @@ class RootDatum:
         "_coroot_index",
         "_positive_pairs",
         "_root_lists",
+        "__weakref__",
     )
 
     family: str
@@ -312,8 +315,46 @@ class RootDatum:
         return f"RootDatum({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields``, keeps them in slots, and
+    writes an ``__init__`` that sets each slot once through its slot
+    descriptor.  Equality (same class, equal field tuples), hashing, the
+    ``Name(field=value, ...)`` repr and pickling (through the constructor)
+    all read ``_fields``; assigning or deleting any attribute raises an
+    ``AttributeError`` naming it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise _FrozenFieldError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _FrozenFieldError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class Weight(_Value):
     """Integer vector in the character lattice of a datum's maximal torus.
 
     Value semantics: two weights are equal iff their datum handles and
@@ -323,20 +364,23 @@ class Weight:
     use; they take no part in equality, hashing or ``repr``.
     """
 
+    __slots__ = ("coords", "datum", "_labels")
+    _fields = ("coords", "datum")
+
     coords: tuple[int, ...]
     datum: RootDatum
-    _labels: Optional[Mapping[int, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _labels: Optional[Mapping[int, int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.datum._canonical(tuple(self.coords)))
+    def __init__(self, coords: Iterable[int], datum: RootDatum):
+        _set_coords(self, datum._canonical(tuple(coords)))
+        _set_datum(self, datum)
+        _set_labels(self, None)
 
     # The arithmetic below builds its results with ``_trusted_weight``,
-    # skipping ``__post_init__``: sums, differences, negatives and integer
-    # multiples of lattice points of one datum keep the coordinate count,
-    # keep an SL last coordinate at 0 and keep SO_odd coordinates of equal
-    # parity, so they are canonical lattice points already.
+    # skipping the constructor's checks: sums, differences, negatives and
+    # integer multiples of lattice points of one datum keep the coordinate
+    # count, keep an SL last coordinate at 0 and keep SO_odd coordinates of
+    # equal parity, so they are canonical lattice points already.
 
     def __add__(self, other: "Weight") -> "Weight":
         if other.datum is not self.datum:
@@ -673,6 +717,16 @@ def weyl_group_order(datum: RootDatum) -> int:
 # Construction of the classical data
 
 
+# The datum cache.  ``make_datum`` returns the same handle for the same
+# (family, rank) while any object (a weight, a root, a memo key) holds the
+# datum, through the weak ``_live_data``; ``_recent_datum`` holds the
+# ``_DATUM_CACHE_SIZE`` data asked for most recently, so that only those
+# and the data still in use stay in memory.
+_DATUM_CACHE_SIZE = 64
+_live_data = weakref.WeakValueDictionary()
+_datum_lock = allocate_lock()  # threading.Lock, without importing threading
+
+
 def make_datum(family: str, n: int) -> RootDatum:
     """Construct (and cache) the root datum of a classical family.
 
@@ -682,7 +736,18 @@ def make_datum(family: str, n: int) -> RootDatum:
     family = normalize_family(family)
     # Checked before the cache, where 2.0 would find the entry for 2.
     _check_rank(n, family, 1 if family in ("GL", "SL", "Torus") else 2)
-    return _build_datum(family, n)
+    return _recent_datum(family, n)
+
+
+@lru_cache(maxsize=_DATUM_CACHE_SIZE)
+def _recent_datum(family: str, n: int) -> RootDatum:
+    # Threads that miss together build under the lock, so all get one handle.
+    key = (family, n)
+    with _datum_lock:
+        datum = _live_data.get(key)
+        if datum is None:
+            datum = _live_data[key] = _build_datum(family, n)
+    return datum
 
 
 def make_torus(n: int) -> RootDatum:
@@ -700,7 +765,6 @@ def _check_rank(rank, label: str, least: int = 0) -> None:
         raise RankRangeError(f"{label} rank {rank} exceeds the bound {MAX_RANK}")
 
 
-@lru_cache(maxsize=None)
 def _build_datum(family: str, n: int) -> RootDatum:
     # Supports of l_i - l_j and l_i + l_j (i < j), of l_i, and of the
     # simple l_k - l_{k+1}, scaled by s.

@@ -17,16 +17,14 @@ nonzero.  Both checks are implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .arith import require_prime
 from .errors import DatumMismatchError, DimensionMismatchError, DomainError, ResiduePrimeError
-from .lattice import Root, RootDatum
+from .lattice import Root, RootDatum, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class RingChar:
+class RingChar(_Value):
     """Characteristic tag of the coefficient ring.
 
     ``prime_power`` (exponent >= 2) models Artinian rings where p is
@@ -34,9 +32,16 @@ class RingChar:
     models characteristic-zero bases.
     """
 
+    __slots__ = _fields = ("kind", "p", "n")
+
     kind: str  # "zero" | "prime" | "prime_power"
-    p: Optional[int] = None
-    n: Optional[int] = None
+    p: Optional[int]
+    n: Optional[int]
+
+    def __init__(self, kind, p=None, n=None):
+        RingChar.kind.__set__(self, kind)
+        RingChar.p.__set__(self, p)
+        RingChar.n.__set__(self, n)
 
     @classmethod
     def zero(cls) -> "RingChar":
@@ -81,11 +86,17 @@ def q_admissible(q: int, ring_char: RingChar) -> bool:
     return q == 1
 
 
-@dataclass(frozen=True, slots=True)
-class MorphismFailure:
+class MorphismFailure(_Value):
+    __slots__ = _fields = ("relation", "root", "detail")
+
     relation: str
     root: Root
     detail: str
+
+    def __init__(self, relation, root, detail):
+        MorphismFailure.relation.__set__(self, relation)
+        MorphismFailure.root.__set__(self, root)
+        MorphismFailure.detail.__set__(self, detail)
 
     def to_json(self) -> dict:
         return {
@@ -95,9 +106,13 @@ class MorphismFailure:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class MorphismVerdict:
-    failures: tuple[MorphismFailure, ...] = ()
+class MorphismVerdict(_Value):
+    __slots__ = _fields = ("failures",)
+
+    failures: tuple[MorphismFailure, ...]
+
+    def __init__(self, failures=()):
+        MorphismVerdict.failures.__set__(self, failures)
 
     @property
     def valid(self) -> bool:
@@ -107,22 +122,33 @@ class MorphismVerdict:
         return {"valid": self.valid, "failures": [f.to_json() for f in self.failures]}
 
 
-@dataclass(frozen=True)
-class PMorphismData:
+class PMorphismData(_Value):
     """Candidate rigidified-isogeny data between two root data.
 
     ``h`` maps target characters to source characters (rows indexed by
     source coordinates, columns by target coordinates).  ``d_map`` sends
     each source root to a target root; ``q`` assigns each source root its
-    positive multiplier.
+    positive multiplier.  ``ring_char`` defaults to ``RingChar.zero()``.
     """
+
+    __slots__ = _fields = ("source", "target", "h", "d_map", "q", "ring_char")
 
     source: RootDatum
     target: RootDatum
     h: tuple[tuple[int, ...], ...]
     d_map: Mapping[Root, Root]
     q: Mapping[Root, int]
-    ring_char: RingChar = field(default_factory=RingChar.zero)
+    ring_char: RingChar
+
+    def __init__(self, source, target, h, d_map, q, ring_char=None):
+        PMorphismData.source.__set__(self, source)
+        PMorphismData.target.__set__(self, target)
+        PMorphismData.h.__set__(self, h)
+        PMorphismData.d_map.__set__(self, d_map)
+        PMorphismData.q.__set__(self, q)
+        PMorphismData.ring_char.__set__(
+            self, RingChar.zero() if ring_char is None else ring_char
+        )
 
 
 def _mat_vec(mat: tuple[tuple[int, ...], ...], vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -209,13 +235,19 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
 # Frobenius rigidity
 
 
-@dataclass(frozen=True, slots=True)
-class RigidityVerdict:
+class RigidityVerdict(_Value):
     """Whether a Frobenius lifting can exist over the given base."""
 
+    __slots__ = _fields = ("lift_possible", "reason", "note")
+
     lift_possible: bool
-    reason: Optional[str] = None
-    note: Optional[str] = None
+    reason: Optional[str]
+    note: Optional[str]
+
+    def __init__(self, lift_possible, reason=None, note=None):
+        RigidityVerdict.lift_possible.__set__(self, lift_possible)
+        RigidityVerdict.reason.__set__(self, reason)
+        RigidityVerdict.note.__set__(self, note)
 
     def to_json(self) -> dict:
         return {

@@ -37,6 +37,13 @@ def weight_root_pairs(draw, simple_only=False, **kwargs):
     return w, draw(st.sampled_from(pool))
 
 
+def rebuilt(value, **changes):
+    """``value`` built again through its class's constructor, with ``changes``."""
+    fields = {name: getattr(value, name) for name in type(value)._fields}
+    fields.update(changes)
+    return type(value)(**fields)
+
+
 def prime_power_reference(q):
     """(p, k) with q = p^k, k >= 1, by trial division over every f; None otherwise."""
     for f in range(2, q + 1):

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All checks are exact (integer arithmetic, zero tolerance).
 """
 
-import dataclasses
 import random
 import time
 
@@ -32,7 +31,7 @@ from charpflag.certificate import CASE_ADJACENT, CASE_DIAGONAL
 from charpflag.cohomology import _digits
 from charpflag.cli import main
 
-from conftest import scalar_p_morphism
+from conftest import rebuilt, scalar_p_morphism
 
 PRIMES = (5, 7, 11, 13)
 
@@ -225,7 +224,7 @@ def test_criterion_7_soundness_guard(capsys):
             continue
         base = check_equivariant_smoothness(2, 6, p)
         rows = list(base.rows)
-        rows[rng.randrange(len(rows))] = dataclasses.replace(
+        rows[rng.randrange(len(rows))] = rebuilt(
             rows[0], weight=w, h1=H1Status.undetermined("fuzz-injected row")
         )
         cert = certificate_from_rows(2, 6, p, rows)

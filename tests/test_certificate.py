@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pickle
 import random
@@ -36,6 +35,8 @@ from charpflag.certificate import (
     CaseRow,
     ConditionCheck,
 )
+
+from conftest import rebuilt
 
 
 def _end_weight(n, p, i, j):
@@ -135,17 +136,17 @@ def test_classified_rows_behave_as_keyword_built_rows():
         assert row == built
         assert hash(row) == hash(built)
         assert repr(row) == repr(built)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'pairing_value'$"):
             row.pairing_value = 0
-        assert dataclasses.replace(row) == row
-        assert dataclasses.replace(row, case_tag="other").case_tag == "other"
+        assert rebuilt(row) == row
+        assert rebuilt(row, case_tag="other").case_tag == "other"
     # The adjacent rows' nonzero H^1 statuses are built the same way.
     nonzero = [row.h1 for row in rows if row.h1.status == "nonzero"]
     assert len(nonzero) == 3
     for status in nonzero:
         built = H1Status("nonzero", highest_weight=status.highest_weight)
         assert (status, hash(status), repr(status)) == (built, hash(built), repr(built))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'reason'$"):
             status.reason = "changed"
 
 
@@ -176,11 +177,19 @@ def test_condition_i_judges_each_rows_own_weight():
     dominant = _end_weight(6, 5, 1, 6)
     k = next(k for k, row in enumerate(base.rows) if not row.weight.is_zero())
     rows = list(base.rows)
-    rows[k] = dataclasses.replace(rows[k], weight=dominant)
+    rows[k] = rebuilt(rows[k], weight=dominant)
     cert = certificate_from_rows(2, 6, 5, rows)
     assert not cert.condition_i.holds
     assert "(5, 0, 0, 0, 0, -5)" in cert.condition_i.detail
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
+
+
+def test_check_equivariant_smoothness_counts_the_classified_rows(monkeypatch):
+    # A filtration that lost a weight is a bug in the pipeline, not a certificate.
+    real = certificate.pullback_filtration
+    monkeypatch.setattr(certificate, "pullback_filtration", lambda weights: real(weights)[1:])
+    with pytest.raises(InternalInconsistencyError, match="^3 End weights classified, expected 4$"):
+        check_equivariant_smoothness(2, 6, 5)
 
 
 def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
@@ -329,7 +338,7 @@ def test_certificate_json_schema():
 def test_verdict_is_derived_from_every_check(field, value):
     base = check_equivariant_smoothness(2, 6, 5)
     assert base.final_verdict == VERDICT_NO_LIFT
-    cert = dataclasses.replace(base, **{field: value})
+    cert = rebuilt(base, **{field: value})
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
     assert cert.to_json()["verdict"] == VERDICT_INCONCLUSIVE
 
@@ -351,7 +360,7 @@ def _undetermined_row(weight):
 def test_injected_undetermined_row_blocks_the_verdict():
     base = check_equivariant_smoothness(2, 6, 5)
     rows = list(base.rows)
-    rows[0] = dataclasses.replace(rows[0], h1=H1Status.undetermined("injected"))
+    rows[0] = rebuilt(rows[0], h1=H1Status.undetermined("injected"))
     cert = certificate_from_rows(2, 6, 5, rows)
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
 

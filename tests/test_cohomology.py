@@ -374,3 +374,23 @@ def test_andersen_checks_the_cartan_column_at_runtime(monkeypatch):
     mu = make_datum("GL", 4).weight((0, 0, -5, 5))
     with pytest.raises(InternalInconsistencyError, match="s_alpha . mu"):
         andersen_h1(mu, 5)
+
+
+def test_andersen_checks_that_the_simple_roots_agree(monkeypatch):
+    # Labels -3 at the first and third simple roots: both are evaluated.
+    datum = make_datum("GL", 5)
+    mu = datum.weight((0, 3, 0, 3, 0))
+    first = datum.simple_roots[0]
+
+    def disagreeing(mu, labels, negatives, alpha, column, m, p):
+        if alpha is first:
+            return cohomology._ZERO
+        return cohomology.H1Status.nonzero(datum.zero())
+
+    monkeypatch.setattr(cohomology, "_andersen_one_root", disagreeing)
+    with pytest.raises(InternalInconsistencyError, match="conflicting H\\^1 verdicts"):
+        andersen_h1(mu, 5)
+
+    # Equal statuses built separately are one verdict.
+    monkeypatch.setattr(cohomology, "_andersen_one_root", lambda *args: cohomology.H1Status("zero"))
+    assert andersen_h1(mu, 5) == cohomology._ZERO

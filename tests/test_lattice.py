@@ -1,9 +1,11 @@
 import copy
-import dataclasses
+import gc
 import itertools
 import math
 import pickle
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,13 @@ from charpflag import (
 from charpflag import lattice
 from charpflag.lattice import MAX_RANK
 
-from conftest import CLASSICAL_FAMILIES, FAMILY_MIN_RANK, datum_weights, weight_root_pairs
+from conftest import (
+    CLASSICAL_FAMILIES,
+    FAMILY_MIN_RANK,
+    datum_weights,
+    rebuilt,
+    weight_root_pairs,
+)
 
 
 def _all_small_datums(max_rank=5):
@@ -192,7 +200,7 @@ def test_kept_labels_are_read_only_and_outside_value_semantics():
     assert dynkin_labels(twin) == labels
     # New weights start without labels, and get their own.
     assert dynkin_labels(-w) == {0: -3, 1: -3, 2: 3}
-    assert dynkin_labels(dataclasses.replace(w, coords=(0, 0, 0, 1))) == {2: -1}
+    assert dynkin_labels(rebuilt(w, coords=(0, 0, 0, 1))) == {2: -1}
 
 
 def test_sl2_root_is_twice_fundamental_weight():
@@ -349,7 +357,7 @@ def test_custom_simple_roots_must_form_a_base(rank, positive, simple, what):
 
 def _fresh_datum(family, n):
     """A datum outside make_datum's cache, so a test may corrupt it."""
-    return lattice._build_datum.__wrapped__(lattice.normalize_family(family), n)
+    return lattice._build_datum(lattice.normalize_family(family), n)
 
 
 def test_root_lists_are_built_on_first_access():
@@ -436,6 +444,54 @@ def test_a_custom_datum_does_not_pickle():
     for value in (datum, datum.weight((2,))):
         with pytest.raises(UnsupportedDatumError, match="custom datum cannot be pickled"):
             pickle.dumps(value)
+
+
+def test_the_datum_cache_is_bounded_and_keeps_the_handles_in_use():
+    before = set(lattice._live_data.keys())
+    held = make_datum("GL", 2)
+    w = held.weight((1, 0))
+    for n in range(3, MAX_RANK + 1):
+        make_datum("GL", n)
+    gc.collect()
+    size = lattice._DATUM_CACHE_SIZE
+    assert lattice._recent_datum.cache_info().currsize == size
+    # Beyond the most recent, the cache holds only data still in use: this
+    # test's, and those that other objects held when it started.
+    recent = {("GL", n) for n in range(MAX_RANK - size + 1, MAX_RANK + 1)}
+    assert set(lattice._live_data.keys()) <= before | recent | {("GL", 2)}
+    assert make_datum("GL", 2) is held and w.datum is held
+    assert pickle.loads(pickle.dumps(w)).datum is held
+
+
+def test_the_datum_cache_gives_one_handle_per_datum_across_threads():
+    # Every handle a thread gets is kept, so each datum stays in use and
+    # every thread must get the same handle for it, while more ranks than
+    # the cache holds come and go.
+    seen, errors = [], []
+
+    def work(offset):
+        try:
+            for k in range(300):
+                n = 2 + (7 * k + offset) % 100
+                seen.append((n, make_datum("GL", n)))
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.is_alive() for t in threads] == [False] * 4
+    assert errors == [] and len(seen) == 1200
+    first = {}
+    assert all(first.setdefault(n, datum) is datum for n, datum in seen)
+    assert lattice._recent_datum.cache_info().currsize == lattice._DATUM_CACHE_SIZE
 
 
 def test_custom_data_with_wrong_coordinate_counts_are_rejected():

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from charpflag import (
 )
 from charpflag.rootmorph import q_admissible
 
-from conftest import prime_power_reference, scalar_p_morphism
+from conftest import prime_power_reference, rebuilt, scalar_p_morphism
 
 RINGS = (RingChar.zero(), RingChar.prime(5), RingChar.prime_power(5, 2))
 
@@ -158,7 +157,7 @@ def test_dimension_mismatch_raises():
 def test_malformed_morphism_data_raise_typed_errors(overrides, error, message):
     data = scalar_p_morphism(make_datum("GL", 2), 1, RingChar.zero())
     with pytest.raises(error, match=message):
-        validate_p_morphism(dataclasses.replace(data, **overrides))
+        validate_p_morphism(rebuilt(data, **overrides))
 
 
 @given(st.sampled_from(RINGS))

@@ -98,3 +98,36 @@ def test_the_benchmark_tracer_sees_every_certificate_row():
     assert pairings > 0
     # S, F*S, End(F*S) and its filtration: 3 + 3 + 9 + 9 weights.
     assert built == 24
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses, and the inspect, ast, dis and tokenize it loads, would
+    # cost every process start several milliseconds.  The baseline is the
+    # standard library the package imports, as loaded by this interpreter.
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    stdlib = set()
+    for _, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            stdlib.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            stdlib.add(node.module)
+    stdlib.difference_update(unwanted)
+    code = (
+        "import sys\n"
+        f"for name in {sorted(stdlib)!r}: __import__(name)\n"
+        "before = set(sys.modules)\n"
+        "import charpflag.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    added = proc.stdout.split()
+    assert "charpflag.cli" in added
+    assert [name for name in unwanted if name in added] == []
