@@ -305,21 +305,15 @@ def _load_datum_spec(spec: dict, role: str) -> RootDatum:
 
 
 def _d_map_indices(d_spec, n_source: int, n_target: int) -> list[int]:
-    """Validate a d_map list: a bijection from source onto target roots."""
+    """The JSON shape of a d_map list: one target-root index per source root."""
     if not isinstance(d_spec, list) or len(d_spec) != n_source:
         raise UsageError(
             f"d_map must be 'identity' or a list of {n_source} target-root indices, "
             "one per source root"
         )
-    if n_source != n_target:
-        raise UsageError(
-            f"d_map cannot be a bijection: {n_source} source roots, {n_target} target roots"
-        )
     for j in d_spec:
         if type(j) is not int or not 0 <= j < n_target:
             raise UsageError(f"d_map entry {j!r} is not a target-root index in 0..{n_target - 1}")
-    if len(set(d_spec)) != n_target:
-        raise UsageError("d_map is not a bijection: some target root is hit twice")
     return d_spec
 
 
@@ -345,12 +339,7 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
         h = tuple(_json_ints(row, "h entry") for row in spec["h"])
         d_spec = spec.get("d_map", "identity")
         if d_spec == "identity":
-            if len(source.roots) != len(target.roots):
-                raise UsageError(
-                    "d_map 'identity' needs equal root counts "
-                    f"({len(source.roots)} vs {len(target.roots)})"
-                )
-            d_map = {a: b for a, b in zip(source.roots, target.roots)}
+            d_map = dict(zip(source.roots, target.roots))
         else:
             indices = _d_map_indices(d_spec, len(source.roots), len(target.roots))
             d_map = {a: target.roots[j] for a, j in zip(source.roots, indices)}
@@ -372,16 +361,15 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
                 _json_int(ring["p"], "ring_char p"), _json_int(ring["n"], "ring_char n")
             ),
         }[ring["kind"]]()
+        verdict = validate_p_morphism(PMorphismData(source, target, h, d_map, q, ring_char))
     except CharpFlagError as exc:
         # Well-formed JSON whose data a typed check rejects (a rank past its
-        # bound, simple roots that are not a base); caught before ValueError,
-        # which most library errors subclass.
+        # bound, simple roots that are not a base, a d_map that is not a
+        # bijection); caught before ValueError, which most library errors
+        # subclass.
         raise UsageError(f"invalid morphism data in {args.file}: {exc}") from None
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed morphism description in {args.file}: {exc}") from None
-    verdict = validate_p_morphism(
-        PMorphismData(source=source, target=target, h=h, d_map=d_map, q=q, ring_char=ring_char)
-    )
     text = [
         f"morphism {source.name} -> {target.name} over {ring_char.describe()}:"
         f" {'valid' if verdict.valid else 'INVALID'}"

@@ -71,14 +71,7 @@ DENSE_LISTING_MAX = 64
 # Canonical family tags accepted by make_datum.
 FAMILIES = ("GL", "SL", "Sp", "SO_odd", "SO_even", "Torus")
 
-_FAMILY_ALIASES = {
-    "gl": "GL",
-    "sl": "SL",
-    "sp": "Sp",
-    "soodd": "SO_odd",
-    "soeven": "SO_even",
-    "torus": "Torus",
-}
+_FAMILY_ALIASES = {name.lower().replace("_", ""): name for name in FAMILIES}
 
 
 def normalize_family(family: str) -> str:

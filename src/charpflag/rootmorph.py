@@ -39,6 +39,15 @@ class RingChar(_Value):
     n: Optional[int]
 
     def __init__(self, kind, p=None, n=None):
+        if kind not in ("zero", "prime", "prime_power"):
+            raise DomainError(f"ring kind must be zero, prime or prime_power, got {kind!r}")
+        if kind != "zero":
+            require_prime(p, "ring characteristic " if kind == "prime" else "")
+        if kind == "prime_power":
+            if type(n) is not int:
+                raise DomainError(f"prime_power exponent must be an integer, got {n!r}")
+            if n < 2:
+                raise DomainError(f"prime_power needs exponent >= 2, got {n}")
         RingChar.kind.__set__(self, kind)
         RingChar.p.__set__(self, p)
         RingChar.n.__set__(self, n)
@@ -49,16 +58,10 @@ class RingChar(_Value):
 
     @classmethod
     def prime(cls, p: int) -> "RingChar":
-        require_prime(p, "ring characteristic ")
         return cls("prime", p=p)
 
     @classmethod
     def prime_power(cls, p: int, n: int) -> "RingChar":
-        require_prime(p, "")
-        if type(n) is not int:
-            raise DomainError(f"prime_power exponent must be an integer, got {n!r}")
-        if n < 2:
-            raise DomainError(f"prime_power needs exponent >= 2, got {n}")
         return cls("prime_power", p=p, n=n)
 
     def describe(self) -> str:
@@ -171,8 +174,9 @@ def _entry(mapping: Mapping[Root, object], name: str, alpha: Root):
 def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
     """Check the two lattice relations and q-admissibility, per source root.
 
-    A root missing from ``d_map`` or ``q``, an image outside the target's
-    roots or a multiplier that is not an ``int`` raises a typed error.
+    An ``h`` that is not a source rank x target rank matrix of ``int``, a
+    ``d_map`` that is not a bijection onto the target's roots, or a ``q``
+    without an ``int`` for each source root raises a typed error.
     """
     src, tgt = data.source, data.target
     if len(data.h) != src.rank or any(len(row) != tgt.rank for row in data.h):
@@ -180,8 +184,18 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
             f"h must be a {src.rank} x {tgt.rank} integer matrix "
             f"(source rank x target rank), got {len(data.h)} rows"
         )
+    for i, row in enumerate(data.h):
+        for j, c in enumerate(row):
+            if type(c) is not int:
+                raise DomainError(f"h entry ({i}, {j}) must be an int, got {c!r}")
+    n_source, n_target = len(src.roots), len(tgt.roots)
+    if n_source != n_target:
+        raise DomainError(
+            f"d_map cannot be a bijection: {n_source} source roots, {n_target} target roots"
+        )
     h_t = _transpose(data.h)
     failures: list[MorphismFailure] = []
+    images: set[Root] = set()
     for alpha in src.roots:
         image = _entry(data.d_map, "d_map", alpha)
         if not isinstance(image, Root) or image.datum is not tgt:
@@ -189,6 +203,9 @@ def validate_p_morphism(data: PMorphismData) -> MorphismVerdict:
                 f"d_map sends the source root {alpha.vector.coords} to {image!r}, "
                 f"which is not a root of {tgt.name}"
             )
+        if image in images:
+            raise DomainError("d_map is not a bijection: some target root is hit twice")
+        images.add(image)
         q = _entry(data.q, "q", alpha)
         if type(q) is not int:
             raise DomainError(

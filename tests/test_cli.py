@@ -308,6 +308,21 @@ def test_ring_characteristic_takes_only_decimal_digits(capsys):
     assert payload["result"] == run_json(capsys, *args[:6], "5", *args[7:])[1]["result"]
 
 
+def test_ring_zero_is_characteristic_zero(capsys):
+    args = ("rigidity", "--type", "GL", "--n", "3", "--ring", "zero", "--p", "5", "--json")
+    code, payload = run_json(capsys, *args)
+    assert code == 0
+    assert payload["result"] == run_json(capsys, *args[:6], "0", *args[7:])[1]["result"]
+
+
+def test_ring_characteristic_must_be_a_prime_power(capsys):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "12", "--p", "5"
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: ring characteristic 12 is not a prime power\n"
+
+
 def test_rigidity_ring_p_conflict(capsys):
     code, _, err = run_cli(
         capsys, "rigidity", "--type", "GL", "--n", "3", "--ring", "25", "--p", "7"
@@ -550,6 +565,59 @@ def test_grassmann_check_bounds_d(capsys):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (1, "")
     assert err == "error: certificate d = 65 exceeds the bound 64\n"
+
+
+@pytest.mark.parametrize(
+    "overrides,what",
+    [
+        (
+            {"target": {"type": "GL", "n": 2}, "h": [[1, 0], [0, 1], [0, 0]], "d_map": "identity"},
+            "d_map cannot be a bijection: 6 source roots, 2 target roots",
+        ),
+        (
+            {"source": {"type": "GL", "n": 2}, "h": [[1, 0, 0], [0, 1, 0]], "d_map": "identity"},
+            "d_map cannot be a bijection: 2 source roots, 6 target roots",
+        ),
+        (
+            {"source": {"type": "GL", "n": 2}, "h": [[1, 0, 0], [0, 1, 0]], "d_map": [0, 3]},
+            "d_map cannot be a bijection: 2 source roots, 6 target roots",
+        ),
+        (
+            {"h": [[1, 0], [0, 1]]},
+            "h must be a 3 x 3 integer matrix (source rank x target rank), got 2 rows",
+        ),
+        (
+            {"source": dict(_CUSTOM_SL2, pairing_denominator=0), "target": _CUSTOM_SL2},
+            "custom-source: pairing denominator must be >= 1, got 0",
+        ),
+    ],
+    ids=["GL3-to-GL2", "GL2-to-GL3", "GL2-to-GL3-list", "h-shape", "pairing-denominator"],
+)
+def test_isogeny_check_reports_data_that_validation_rejects_as_invalid(
+    capsys, tmp_path, overrides, what
+):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(**overrides))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: invalid morphism data in {path}: {what}\n"
+
+
+def test_isogeny_check_reports_a_malformed_custom_datum(capsys, tmp_path):
+    source = {key: value for key, value in _CUSTOM_SL2.items() if key != "positive_roots"}
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(source=source))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == "usage error: malformed source datum description: 'positive_roots'\n"
+
+
+def test_isogeny_check_zero_q_is_a_definite_negative_verdict(capsys, tmp_path):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(q=0))
+    code, payload = run_json(capsys, "isogeny-check", "--file", path, "--json")
+    assert code == 0
+    assert payload["result"]["valid"] is False
+    failures = payload["result"]["failures"]
+    assert len(failures) == 6
+    assert {f["relation"] for f in failures} == {"q_positive"}
 
 
 def test_isogeny_check_keeps_malformed_for_missing_keys(capsys, tmp_path):

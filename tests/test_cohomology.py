@@ -376,6 +376,11 @@ def test_andersen_checks_the_cartan_column_at_runtime(monkeypatch):
         andersen_h1(mu, 5)
 
 
+def test_a_nonzero_h1_needs_a_dominant_largest_weight():
+    with pytest.raises(InternalInconsistencyError, match="is not dominant"):
+        cohomology.H1Status.nonzero(make_datum("GL", 3).weight((0, 1, 0)))
+
+
 def test_andersen_checks_that_the_simple_roots_agree(monkeypatch):
     # Labels -3 at the first and third simple roots: both are evaluated.
     datum = make_datum("GL", 5)

@@ -133,6 +133,18 @@ def test_weight_value_semantics():
         d.weight((1, 0, -1)) + other.weight((1, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [lambda lam, other: lam - other.zero(), lambda lam, other: pairing(lam, other.simple_roots[0])],
+    ids=["sub", "pairing"],
+)
+def test_operands_of_different_data_are_rejected(op):
+    lam = make_datum("GL", 3).weight((1, 0, -1))
+    message = r"^operands live in different data: GL\(3\) vs GL\(4\)$"
+    with pytest.raises(DatumMismatchError, match=message):
+        op(lam, make_datum("GL", 4))
+
+
 def test_non_integer_coordinates_are_rejected():
     gl2 = make_datum("GL", 2)
     for coords in ((1.5, -0.7), (2.0, 0), (Fraction(1), 0), (True, 0)):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpflag import (
+    CharpFlagError,
     DatumMismatchError,
     DimensionMismatchError,
     DomainError,
@@ -151,13 +153,69 @@ def test_dimension_mismatch_raises():
             DomainError,
             r"q of the source root \(1, -1\) must be an int, got 2.0",
         ),
+        (
+            {"h": ((1.0, 0), (0, 1.0))},
+            DomainError,
+            r"h entry \(0, 0\) must be an int, got 1.0",
+        ),
+        (
+            {"h": ((1, False), (False, True))},
+            DomainError,
+            r"h entry \(0, 1\) must be an int, got False",
+        ),
     ],
-    ids=["d_map-missing-root", "q-missing-root", "image-in-GL3", "q-str", "q-float"],
+    ids=[
+        "d_map-missing-root",
+        "q-missing-root",
+        "image-in-GL3",
+        "q-str",
+        "q-float",
+        "h-float",
+        "h-bool",
+    ],
 )
 def test_malformed_morphism_data_raise_typed_errors(overrides, error, message):
     data = scalar_p_morphism(make_datum("GL", 2), 1, RingChar.zero())
     with pytest.raises(error, match=message):
         validate_p_morphism(rebuilt(data, **overrides))
+
+
+_GL2, _GL3 = make_datum("GL", 2), make_datum("GL", 3)
+_GL3_ROOT = {r.vector.coords: r for r in _GL3.roots}
+
+
+@pytest.mark.parametrize(
+    "source,target,h,d_map,message",
+    [
+        (
+            _GL2,
+            _GL3,
+            ((1, 0, 0), (0, 1, 0)),
+            {a: _GL3_ROOT[a.vector.coords + (0,)] for a in _GL2.roots},
+            "d_map cannot be a bijection: 2 source roots, 6 target roots",
+        ),
+        (
+            make_torus(2),
+            _GL2,
+            ((0, 0), (0, 0)),
+            {},
+            "d_map cannot be a bijection: 0 source roots, 2 target roots",
+        ),
+        (
+            _GL3,
+            _GL3,
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            dict(zip(_GL3.roots, _GL3.roots[:-1] + _GL3.roots[:1])),
+            "d_map is not a bijection: some target root is hit twice",
+        ),
+    ],
+    ids=["GL2-onto-2-of-6-GL3-roots", "T2-to-GL2", "GL3-repeated-image"],
+)
+def test_a_d_map_that_is_not_a_bijection_gets_no_verdict(source, target, h, d_map, message):
+    # The first two satisfy both lattice relations on every source root.
+    data = PMorphismData(source, target, h, d_map, {a: 1 for a in source.roots})
+    with pytest.raises(CharpFlagError, match=f"^{message}$"):
+        validate_p_morphism(data)
 
 
 @given(st.sampled_from(RINGS))
@@ -189,6 +247,25 @@ _ADMISSIBILITY_RINGS = (
 def test_ring_exponent_must_be_an_int(n):
     with pytest.raises(DomainError, match="exponent must be an integer"):
         RingChar.prime_power(5, n)
+
+
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        (("prime", 4), NotPrimeError, "ring characteristic 4 is not prime"),
+        (("prime",), NotPrimeError, "ring characteristic None is not prime"),
+        (("prime_power", 4, 2), NotPrimeError, "4 is not prime"),
+        (("prime_power", 5), DomainError, "prime_power exponent must be an integer, got None"),
+        (("prime_power", 5, 1), DomainError, "prime_power needs exponent >= 2, got 1"),
+        (("p", 5), DomainError, "ring kind must be zero, prime or prime_power, got 'p'"),
+    ],
+    ids=["prime-4", "prime-None", "prime_power-4", "exponent-None", "exponent-1", "kind-p"],
+)
+def test_the_ring_constructor_checks_what_its_classmethods_check(args, error, message):
+    # An unchecked RingChar("prime", 4) would pass the Frobenius data
+    # h = 4*id, q == 4 as valid over "characteristic 4".
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        RingChar(*args)
 
 
 @given(st.integers(-3, 5000), st.sampled_from(_ADMISSIBILITY_RINGS))
