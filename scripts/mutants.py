@@ -1,0 +1,225 @@
+#!/usr/bin/env python3
+"""Mutation check for the checks a non-liftability certificate leans on.
+
+Each row of ``MUTANTS`` removes or weakens one runtime check of the
+certificate path by replacing an exact source snippet.  For each row the
+script copies the tree to a temporary directory, applies the row there
+and runs the tier-1 suite with ``-x``.  A mutant is killed when a test
+fails; one that passes the whole suite survives, and the script exits 1
+naming it.  The unmutated copy must pass first, so a failing suite does
+not read as killed mutants.  Standard library only; the suite itself
+needs pytest and hypothesis.
+
+A refactor that moves a check updates its row, as it would any test.
+``EQUIVALENT`` lists mutants that cannot be killed, each with its
+reason; they are not run.
+
+Example (from the root of a checkout; about a minute on 2 vCPUs):
+    python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "charpflag"
+
+# (name, module, exact snippet, replacement, the check it removes)
+MUTANTS = (
+    (
+        "soundness-guard",
+        "certificate.py",
+        'if any(row.h1.status == "undetermined" for row in self.rows):',
+        "if False:",
+        "an undetermined H^1 row makes the verdict inconclusive",
+    ),
+    (
+        "condition-i",
+        "certificate.py",
+        "holds=not dominant_off,",
+        "holds=True,",
+        "condition (i): no off-diagonal End weight is dominant",
+    ),
+    (
+        "condition-ii",
+        "certificate.py",
+        "holds=aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE),",
+        "holds=True,",
+        "condition (ii): H^1(X, End) aggregates to zero or a trivial module",
+    ),
+    (
+        "condition-iii",
+        "certificate.py",
+        "conditions = (self.condition_i, self.condition_ii, self.condition_iii)",
+        "conditions = (self.condition_i, self.condition_ii)",
+        "condition (iii) takes part in the verdict",
+    ),
+    (
+        "rigidity-mod-p-squared",
+        "certificate.py",
+        'rig_p2 = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.prime_power(p, 2))',
+        "rig_p2 = RigidityVerdict(lift_possible=False)",
+        "the Frobenius rigidity verdict over length-two Witt vectors",
+    ),
+    (
+        "rigidity-char-zero",
+        "certificate.py",
+        'rig_zero = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.zero(), p=p)',
+        "rig_zero = RigidityVerdict(lift_possible=False)",
+        "the Frobenius rigidity verdict over characteristic zero",
+    ),
+    (
+        "p-at-least-5",
+        "certificate.py",
+        "if p < 5:",
+        "if p < 3:",
+        "a certificate needs p >= 5",
+    ),
+    (
+        "grassmannian-range",
+        "bundles.py",
+        "if not 2 <= d <= n - 2:",
+        "if not 1 <= d <= n - 1:",
+        "2 <= d <= N - 2",
+    ),
+    (
+        "d-bound",
+        "certificate.py",
+        "if d > DENSE_LISTING_MAX:",
+        "if False:",
+        "a certificate's d is at most DENSE_LISTING_MAX",
+    ),
+    (
+        "row-shape",
+        "certificate.py",
+        "if len(support) != 2 or x + coords[b] or (x != p and x != -p):",
+        "if False:",
+        "a classified weight has the shape p(l_i - l_j)",
+    ),
+    (
+        "upper-far-root",
+        "certificate.py",
+        "if j >= datum.rank:",
+        "if False:",
+        "the simple root l_j - l_{j+1} of an upper far row exists",
+    ),
+    (
+        "closed-form",
+        "certificate.py",
+        "if value != expected:",
+        "if False:",
+        "a row's pairing equals its closed form",
+    ),
+    (
+        "row-count",
+        "certificate.py",
+        "if len(rows) != d * d:",
+        "if False:",
+        "a certificate classifies d*d End weights",
+    ),
+    (
+        "memo-key-procedure",
+        "certificate.py",
+        "key = (andersen_h1, datum, p, i, j)",
+        "key = (datum, p, i, j)",
+        "a substituted H^1 procedure is not answered from another's memo entries",
+    ),
+    (
+        "memo-bound",
+        "certificate.py",
+        "if size > _H1_MEMO_MAX:",
+        "if False:",
+        "the H^1 memo is emptied at its bound",
+    ),
+)
+
+# (name, module, exact snippet, replacement, why no test can kill it)
+EQUIVALENT = (
+    (
+        "andersen-tail-raise",
+        "cohomology.py",
+        "    raise InternalInconsistencyError(\n"
+        '        f"dominant tail weight not found for {mu!r} though nu_n was dominant"\n'
+        "    )",
+        "    return None",
+        "unreachable: the tail loop's last weight, j = n, is nu_n, which the function "
+        "has just found dominant, so the loop always returns; the raise stays as a guard",
+    ),
+)
+
+
+def apply(tree: Path, module: str, snippet: str, replacement: str) -> None:
+    """Replace the one occurrence of ``snippet`` in the tree's copy of ``module``."""
+    path = tree / PACKAGE / module
+    source = path.read_text()
+    count = source.count(snippet)
+    if count != 1:
+        raise SystemExit(f"error: snippet occurs {count} times in {module}: {snippet!r}")
+    mutated = source.replace(snippet, replacement)
+    compile(mutated, str(path), "exec")  # a mutant must still be Python
+    path.write_text(mutated)
+
+
+def run_suite(tree: Path) -> tuple[int, float]:
+    """Tier-1 on ``tree`` with ``-x``: (pytest's exit status, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, time.perf_counter() - start
+
+
+def copy_tree(scratch: Path) -> Path:
+    tree = Path(tempfile.mkdtemp(dir=scratch)) / "tree"
+    shutil.copytree(
+        ROOT,
+        tree,
+        ignore=shutil.ignore_patterns(
+            ".git", ".bench_build", "__pycache__", ".pytest_cache", ".hypothesis"
+        ),
+    )
+    return tree
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="charpflag-mutants-") as scratch:
+        status, seconds = run_suite(copy_tree(Path(scratch)))
+        if status != 0:
+            print(f"error: the unmutated suite exits {status}", file=sys.stderr)
+            return 2
+        print(f"unmutated   ok       {seconds:5.1f} s")
+        for name, module, snippet, replacement, check in MUTANTS:
+            tree = copy_tree(Path(scratch))
+            apply(tree, module, snippet, replacement)
+            status, seconds = run_suite(tree)
+            shutil.rmtree(tree.parent)
+            if status == 1:
+                print(f"killed      {name:24} {seconds:5.1f} s  {check}")
+            elif status == 0:
+                print(f"SURVIVED    {name:24} {seconds:5.1f} s  {check}")
+                survivors.append(name)
+            else:
+                print(f"error: pytest exits {status} on mutant {name}", file=sys.stderr)
+                return 2
+    for name, _, _, _, reason in EQUIVALENT:
+        print(f"equivalent  {name:24} not run: {reason}")
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived tier-1: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,11 +38,13 @@ from .cohomology import (
     aggregate_h1_statuses,
     andersen_h1,
 )
+from . import lattice
 from .lattice import (
     DENSE_LISTING_MAX,
     Root,
     Weight,
     _Value,
+    _give_labels,
     dynkin_labels,
     is_dominant,
     make_datum,
@@ -59,10 +61,11 @@ STANDING_ASSUMPTIONS = ("grassmannian_rigid", "h2_structure_sheaf_vanishes")
 VERDICT_NO_LIFT = "no_lift_where_p_nonzero"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# Off-diagonal H^1 statuses without a largest weight, by (andersen_h1, datum,
-# p, i, j); emptied at the cap.  See ``classify_weight``.
+# Each row's H^1 status and kept labels, by (andersen_h1, datum, p, i, j),
+# and the memo's counted size.  See ``classify_weight`` and ``_remember``.
 _H1_MEMO_MAX = 1 << 14
 _h1_memo: dict = {}
+_h1_memo_size = 0
 
 
 class CaseRow(_Value):
@@ -205,11 +208,14 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
 
     Records the case's standard simple root (l_j - l_{j+1} for i < j,
     l_{i-1} - l_i for i > j, none on the diagonal), the pairing of the
-    dot-reflected weight with that root, and the H^1 status of mu.  An
-    off-diagonal status without a largest weight (every far row) is decided
-    once per process and taken from ``_h1_memo`` afterwards.  The pairing is
-    read from the labels of mu and checked against its closed form, p - 2
-    for the far cases and 2p - 2 for the adjacent case; a mismatch raises
+    dot-reflected weight with that root, and the H^1 status of mu.  Each
+    row, diagonal rows under i = j = 0, is decided once per process and
+    per decision procedure: ``_h1_memo`` keeps its status and the labels
+    ``lattice.dynkin_labels`` kept on its weight, and a later equal row
+    takes both from there.  The prime, family and shape checks run on
+    every row, and so does the closed-form check: the pairing is read from
+    the labels of mu and checked against p - 2 for the far cases and
+    2p - 2 for the adjacent case; a mismatch raises
     ``InternalInconsistencyError``.
     """
     require_prime(p)
@@ -219,46 +225,68 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     coords = mu.coords
     support = list(compress(range(len(coords)), coords))
     if not support:
-        return CaseRow(mu, CASE_DIAGONAL, None, None, andersen_h1(mu, p))
-    # The shape p(l_i - l_j): exactly two nonzero coordinates, p and -p.
-    a, b = support[0], support[-1]
-    x = coords[a]
-    if len(support) != 2 or x + coords[b] or (x != p and x != -p):
-        raise WeightShapeError(
-            f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}"
-        )
-    i, j = (a + 1, b + 1) if x == p else (b + 1, a + 1)
-    if i < j:
-        case = CASE_UPPER_FAR
-        if j >= datum.rank:
-            raise WeightShapeError(
-                f"case i < j needs the simple root l_{j} - l_{j + 1}, "
-                f"which does not exist in {datum.name}"
-            )
-        k = j - 1
-        expected = p - 2
-    elif i == j + 1:
-        case = CASE_ADJACENT
-        k = i - 2
-        expected = 2 * p - 2
+        i = j = 0
     else:
-        case = CASE_LOWER_FAR
-        k = i - 2
-        expected = p - 2
+        # The shape p(l_i - l_j): exactly two nonzero coordinates, p and -p.
+        a, b = support[0], support[-1]
+        x = coords[a]
+        if len(support) != 2 or x + coords[b] or (x != p and x != -p):
+            raise WeightShapeError(
+                f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}"
+            )
+        i, j = (a + 1, b + 1) if x == p else (b + 1, a + 1)
+        if i < j:
+            case = CASE_UPPER_FAR
+            if j >= datum.rank:
+                raise WeightShapeError(
+                    f"case i < j needs the simple root l_{j} - l_{j + 1}, "
+                    f"which does not exist in {datum.name}"
+                )
+            k = j - 1
+            expected = p - 2
+        elif i == j + 1:
+            case = CASE_ADJACENT
+            k = i - 2
+            expected = 2 * p - 2
+        else:
+            case = CASE_LOWER_FAR
+            k = i - 2
+            expected = p - 2
     # Keyed by the procedure too, so a substituted one decides for itself.
     key = (andersen_h1, datum, p, i, j)
-    h1 = _h1_memo.get(key)
-    if h1 is None:
+    entry = _h1_memo.get(key)
+    if entry is None:
         h1 = andersen_h1(mu, p)
-        if h1.highest_weight is None:  # an N-coordinate weight is never kept
-            if len(_h1_memo) >= _H1_MEMO_MAX:
-                _h1_memo.clear()
-            _h1_memo[key] = h1
+        # Through lattice itself: a substituted ``dynkin_labels`` here
+        # never fills the memo.
+        _remember(key, h1, lattice.dynkin_labels(mu))
+    else:
+        h1, labels = entry
+        _give_labels(mu, labels)
+    if not support:
+        return CaseRow(mu, CASE_DIAGONAL, None, None, h1)
     # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2, from the labels of mu.
     value = -dynkin_labels(mu).get(k, 0) - 2
     if value != expected:
         raise InternalInconsistencyError(f"pairing {value} != closed form {expected} for {mu!r}")
     return CaseRow(mu, case, datum.simple_roots[k], value, h1)
+
+
+def _remember(key: tuple, h1: H1Status, labels) -> None:
+    """Keep ``(h1, labels)`` in ``_h1_memo`` under key, within the bound.
+
+    An entry counts 1, or 1 + N when its status holds a largest weight
+    (an adjacent row's zero weight of GL(N)); the memo is emptied when the
+    count would pass ``_H1_MEMO_MAX``.
+    """
+    global _h1_memo_size
+    cost = 1 if h1.highest_weight is None else 1 + key[1].rank
+    size = _h1_memo_size + cost if _h1_memo else cost  # emptied elsewhere: recount
+    if size > _H1_MEMO_MAX:  # 1 + MAX_RANK alone is well under it
+        _h1_memo.clear()
+        size = cost
+    _h1_memo[key] = (h1, labels)
+    _h1_memo_size = size
 
 
 def _validate_parameters(d: int, n: int, p: int) -> None:

@@ -29,7 +29,8 @@ class RingChar(_Value):
 
     ``prime_power`` (exponent >= 2) models Artinian rings where p is
     nonzero but nilpotent, e.g. Witt vectors of length two; ``zero``
-    models characteristic-zero bases.
+    models characteristic-zero bases.  A kind takes only its own fields:
+    ``zero`` neither p nor n, ``prime`` no n.
     """
 
     __slots__ = _fields = ("kind", "p", "n")
@@ -41,6 +42,11 @@ class RingChar(_Value):
     def __init__(self, kind, p=None, n=None):
         if kind not in ("zero", "prime", "prime_power"):
             raise DomainError(f"ring kind must be zero, prime or prime_power, got {kind!r}")
+        # A field the kind ignores would make two equal rings unequal.
+        if kind == "zero" and p is not None:
+            raise DomainError(f"ring kind zero takes no prime, got p = {p!r}")
+        if kind != "prime_power" and n is not None:
+            raise DomainError(f"ring kind {kind} takes no exponent, got n = {n!r}")
         if kind != "zero":
             require_prime(p, "ring characteristic " if kind == "prime" else "")
         if kind == "prime_power":

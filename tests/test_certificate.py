@@ -206,6 +206,7 @@ def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
         bound = getattr(module, "pairing", None)
         if name.partition(".")[0] == "charpflag" and bound is real_pairing:
             monkeypatch.setattr(module, "pairing", counting)
+    certificate._h1_memo.clear()  # a cold memo
     cert = check_equivariant_smoothness(3, 6, 5)
     assert cert.final_verdict == VERDICT_NO_LIFT
     # Labels pair p(l_i - l_j) with the simple roots whose coroot meets
@@ -215,6 +216,10 @@ def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
     # each closed-form check reads its row's labels.
     assert len(evaluated) == 2 * (2 + 3 + 3)
     assert len(set(evaluated)) == len(evaluated)
+    # A warm memo gives every row its kept labels: no pairing at all.
+    evaluated.clear()
+    assert check_equivariant_smoothness(3, 6, 5) == cert
+    assert evaluated == []
 
 
 def test_certificate_totaro_case():
@@ -435,11 +440,11 @@ def test_the_memo_decides_each_far_row_once(monkeypatch):
     sizes = list(range(2, 9))
     random.Random(20261019).shuffle(sizes)
     built = {d: json.dumps(check_equivariant_smoothness(d, 10, 7).to_json()) for d in sizes}
-    # Every certificate decides its d diagonal rows and d - 1 adjacent rows;
-    # the d = 8 corner holds 8 * 8 - 8 - 7 = 49 far rows, each decided once.
-    assert len(calls) == sum(range(2, 9)) + sum(range(1, 8)) + 49
+    # Every row is decided once: the d = 8 corner holds the diagonal row,
+    # the zero weight, and 8 * 8 - 8 = 56 off-diagonal rows.
+    assert len(calls) == 1 + 56
     off_diagonal = [c for c in calls if any(c)]
-    assert (len(off_diagonal), len(set(off_diagonal))) == (28 + 49, 7 + 49)
+    assert (len(off_diagonal), len(set(off_diagonal))) == (56, 56)
     for d in sizes:
         monkeypatch.setattr(certificate, "andersen_h1", _counting_h1([]))
         assert json.dumps(check_equivariant_smoothness(d, 10, 7).to_json()) == built[d]
@@ -477,3 +482,73 @@ def test_the_memo_is_bounded_and_a_clear_keeps_the_bytes(monkeypatch):
     assert again == first
     assert max(sizes) <= cap
     assert len(certificate._h1_memo) <= cap
+
+
+def _memo_count():
+    # An entry counts 1, or 1 + N when its status holds a largest weight.
+    return sum(
+        1 if h1.highest_weight is None else 1 + key[1].rank
+        for key, (h1, _) in certificate._h1_memo.items()
+    )
+
+
+_FILL_GRID = [(d, n, p) for p in (5, 7, 11, 13) for n in range(4, 11) for d in range(2, n - 1)]
+
+
+def test_the_memo_fill_order_never_changes_a_byte():
+    cold = []
+    for d, n, p in _FILL_GRID:
+        certificate._h1_memo.clear()
+        cold.append(json.dumps(check_equivariant_smoothness(d, n, p).to_json()))
+    for d, n, p in reversed(_FILL_GRID):
+        check_equivariant_smoothness(d, n, p)
+    for (d, n, p), expected in zip(_FILL_GRID, cold):
+        cert = check_equivariant_smoothness(d, n, p)
+        assert json.dumps(cert.to_json()) == expected
+        for row in cert.rows:
+            fresh = Weight(row.weight.coords, row.weight.datum)
+            assert dynkin_labels(row.weight) == dynkin_labels(fresh)
+            if row.case_tag == CASE_ADJACENT:
+                assert row.h1 == andersen_h1(fresh, p)
+    for (_, datum, p, i, j), (h1, labels) in certificate._h1_memo.items():
+        mu = _end_weight(datum.rank, p, i, j) if i else datum.zero()
+        assert labels == dynkin_labels(mu)
+
+
+def test_the_memo_count_stays_under_its_cap_and_a_clear_keeps_the_bytes(monkeypatch):
+    # Gr(3, 1024) keeps two adjacent rows of 1 + 1024 each per prime, and
+    # Gr(64, 66) 8,191 counted per prime: five primes pass the cap.
+    certificate._h1_memo.clear()
+    counts = []
+
+    def observing(mu, p):
+        counts.append(certificate._h1_memo_size)
+        return andersen_h1(mu, p)
+
+    monkeypatch.setattr(certificate, "andersen_h1", observing)
+    cases = [(d, n, p) for d, n in ((3, 1024), (64, 66)) for p in (5, 7, 11, 13, 17)]
+    first = []
+    for case in cases:
+        first.append(json.dumps(check_equivariant_smoothness(*case).to_json()))
+        counts.append(certificate._h1_memo_size)
+        assert counts[-1] == _memo_count()
+    assert any(b < a for a, b in zip(counts, counts[1:]))  # the memo was emptied
+    assert max(counts) <= certificate._H1_MEMO_MAX
+    certificate._h1_memo.clear()
+    assert [json.dumps(check_equivariant_smoothness(*case).to_json()) for case in cases] == first
+
+
+def test_a_substituted_labels_function_never_fills_the_memo(monkeypatch):
+    certificate._h1_memo.clear()
+    mu = _end_weight(8, 7, 4, 2)  # lower far
+    monkeypatch.setattr(
+        "charpflag.certificate.dynkin_labels",
+        lambda lam: {k: c + 1 for k, c in dynkin_labels(lam).items()},
+    )
+    with pytest.raises(InternalInconsistencyError, match="closed form 5"):
+        classify_weight(mu, 7)  # a miss: decided and kept, then the check fails
+    monkeypatch.undo()
+    fresh = _end_weight(8, 7, 4, 2)
+    row = classify_weight(fresh, 7)  # a hit
+    assert dynkin_labels(row.weight) == dynkin_labels(Weight(fresh.coords, fresh.datum))
+    assert row.pairing_value == 5

@@ -268,6 +268,19 @@ def test_the_ring_constructor_checks_what_its_classmethods_check(args, error, me
         RingChar(*args)
 
 
+def test_a_ring_takes_only_the_fields_of_its_kind():
+    # Before, RingChar("prime", 5, 3) was a ring unequal to RingChar.prime(5),
+    # and RingChar("zero", p=5) carried a prime that the rigidity verdict
+    # compared with its residue prime.
+    with pytest.raises(DomainError, match="^ring kind prime takes no exponent, got n = 3$"):
+        RingChar("prime", 5, 3)
+    with pytest.raises(DomainError, match="^ring kind zero takes no prime, got p = 5$"):
+        frobenius_rigidity_verdict(make_datum("GL", 3), RingChar("zero", p=5), p=7)
+    with pytest.raises(DomainError, match="^ring kind zero takes no exponent, got n = 2$"):
+        RingChar("zero", n=2)
+    assert not frobenius_rigidity_verdict(make_datum("GL", 3), RingChar.zero(), p=7).lift_possible
+
+
 @given(st.integers(-3, 5000), st.sampled_from(_ADMISSIBILITY_RINGS))
 @settings(max_examples=300)
 def test_q_admissible_matches_the_factoring_rule(q, ring):

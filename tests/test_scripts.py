@@ -5,14 +5,28 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_nonliftability.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _sweep():
-    spec = importlib.util.spec_from_file_location("reproduce_nonliftability", SCRIPT)
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _sweep():
+    return _script("reproduce_nonliftability")
+
+
+def test_every_mutant_snippet_occurs_once_in_src():
+    # A refactor that moves a check must move its mutation row with it.
+    mutants = _script("mutants")
+    sources = {path: path.read_text() for path in (ROOT / "src").rglob("*.py")}
+    for name, module, snippet, replacement, _ in mutants.MUTANTS + mutants.EQUIVALENT:
+        found = [path.name for path, text in sources.items() for _ in range(text.count(snippet))]
+        assert found == [module], name
+        assert replacement != snippet, name
 
 
 def test_sweep_certifies_good_primes(capsys):

@@ -133,6 +133,10 @@ VALUES = {
     ),
 }
 
+# Fields that a variation changes along with its own, where the class
+# rejects the variation alone: a prime ring takes no exponent.
+ALONG = {(RingChar, "kind"): {"n": None}}
+
 
 def test_every_value_class_is_covered():
     assert len(VALUES) == 11
@@ -150,7 +154,7 @@ def test_value_contract(cls):
     assert pickle.loads(pickle.dumps(a)) == a
     assert not hasattr(a, "__dict__")
     for name, value in changes.items():
-        changed = rebuilt(a, **{name: value})
+        changed = rebuilt(a, **{**ALONG.get((cls, name), {}), name: value})
         assert changed != a and getattr(changed, name) == value, name
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(a, name, value)
