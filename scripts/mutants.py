@@ -132,9 +132,86 @@ MUTANTS = (
     (
         "memo-bound",
         "certificate.py",
-        "if size > _H1_MEMO_MAX:",
+        "if size > _ROW_MEMO_MAX:",
         "if False:",
-        "the H^1 memo is emptied at its bound",
+        "the row memo is emptied at its bound",
+    ),
+    (
+        "q-positive",
+        "rootmorph.py",
+        "if q < 1:",
+        "if False:",
+        "a morphism's multiplier q < 1 is a q_positive failure",
+    ),
+    (
+        "root-count",
+        "rootmorph.py",
+        "if n_source != n_target:",
+        "if False:",
+        "a d_map between data with different root counts is rejected",
+    ),
+    (
+        "repeated-image",
+        "rootmorph.py",
+        "if image in images:",
+        "if False:",
+        "a d_map that hits a target root twice is rejected",
+    ),
+    (
+        "integer-h",
+        "rootmorph.py",
+        "if type(c) is not int:\n                raise DomainError(f\"h entry",
+        "if False:\n                raise DomainError(f\"h entry",
+        "every entry of a morphism's h is an int",
+    ),
+    (
+        "ring-kind",
+        "rootmorph.py",
+        'if kind not in ("zero", "prime", "prime_power"):',
+        "if False:",
+        "a ring's kind is zero, prime or prime_power",
+    ),
+    (
+        "ring-zero-takes-no-prime",
+        "rootmorph.py",
+        'if kind == "zero" and p is not None:',
+        "if False:",
+        "a characteristic-zero ring takes no prime",
+    ),
+    (
+        "ring-takes-no-exponent",
+        "rootmorph.py",
+        'if kind != "prime_power" and n is not None:',
+        "if False:",
+        "only a prime_power ring takes an exponent",
+    ),
+    (
+        "ring-integer-exponent",
+        "rootmorph.py",
+        "if type(n) is not int:",
+        "if False:",
+        "a prime_power exponent is an int",
+    ),
+    (
+        "ring-exponent-at-least-2",
+        "rootmorph.py",
+        "if n < 2:",
+        "if False:",
+        "a prime_power exponent is at least 2",
+    ),
+    (
+        "nonzero-h1-dominant",
+        "cohomology.py",
+        "if not is_dominant(highest_weight):",
+        "if False:",
+        "the largest weight of a nonzero H^1 is dominant",
+    ),
+    (
+        "pairing-datum",
+        "lattice.py",
+        "if alpha.datum is not datum:",
+        "if False:",
+        "pairing takes a weight and a root of one datum",
     ),
 )
 

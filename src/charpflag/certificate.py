@@ -15,6 +15,7 @@ certificate never overstates a vanishing claim.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Optional
 
@@ -28,7 +29,6 @@ from .errors import (
 from .bundles import (
     _check_grassmannian,
     end_weights,
-    frobenius_twist,
     pullback_filtration,
     tautological_weights,
 )
@@ -38,13 +38,13 @@ from .cohomology import (
     aggregate_h1_statuses,
     andersen_h1,
 )
-from . import lattice
 from .lattice import (
     DENSE_LISTING_MAX,
     Root,
+    RootDatum,
     Weight,
+    _trusted_weight,
     _Value,
-    _give_labels,
     dynkin_labels,
     is_dominant,
     make_datum,
@@ -61,11 +61,12 @@ STANDING_ASSUMPTIONS = ("grassmannian_rigid", "h2_structure_sheaf_vanishes")
 VERDICT_NO_LIFT = "no_lift_where_p_nonzero"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# Each row's H^1 status and kept labels, by (andersen_h1, datum, p, i, j),
-# and the memo's counted size.  See ``classify_weight`` and ``_remember``.
-_H1_MEMO_MAX = 1 << 14
-_h1_memo: dict = {}
-_h1_memo_size = 0
+# Each finished row by (andersen_h1, datum, p, i, j), i = j = 0 on the
+# diagonal, and the memo's counted size.  See ``check_equivariant_smoothness``
+# and ``_remember``.
+_ROW_MEMO_MAX = 1 << 16
+_row_memo: dict = {}
+_row_memo_size = 0
 
 
 class CaseRow(_Value):
@@ -208,15 +209,11 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
 
     Records the case's standard simple root (l_j - l_{j+1} for i < j,
     l_{i-1} - l_i for i > j, none on the diagonal), the pairing of the
-    dot-reflected weight with that root, and the H^1 status of mu.  Each
-    row, diagonal rows under i = j = 0, is decided once per process and
-    per decision procedure: ``_h1_memo`` keeps its status and the labels
-    ``lattice.dynkin_labels`` kept on its weight, and a later equal row
-    takes both from there.  The prime, family and shape checks run on
-    every row, and so does the closed-form check: the pairing is read from
-    the labels of mu and checked against p - 2 for the far cases and
-    2p - 2 for the adjacent case; a mismatch raises
-    ``InternalInconsistencyError``.
+    dot-reflected weight with that root, and the H^1 status of mu.  Every
+    check runs on every call: the prime, family and shape checks, and the
+    closed-form check, which reads the pairing from the labels of mu and
+    checks it against p - 2 for the far cases and 2p - 2 for the adjacent
+    case; a mismatch raises ``InternalInconsistencyError``.
     """
     require_prime(p)
     datum = mu.datum
@@ -225,46 +222,31 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     coords = mu.coords
     support = list(compress(range(len(coords)), coords))
     if not support:
-        i = j = 0
-    else:
-        # The shape p(l_i - l_j): exactly two nonzero coordinates, p and -p.
-        a, b = support[0], support[-1]
-        x = coords[a]
-        if len(support) != 2 or x + coords[b] or (x != p and x != -p):
+        return CaseRow(mu, CASE_DIAGONAL, None, None, andersen_h1(mu, p))
+    # The shape p(l_i - l_j): exactly two nonzero coordinates, p and -p.
+    a, b = support[0], support[-1]
+    x = coords[a]
+    if len(support) != 2 or x + coords[b] or (x != p and x != -p):
+        raise WeightShapeError(f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}")
+    i, j = (a + 1, b + 1) if x == p else (b + 1, a + 1)
+    if i < j:
+        case = CASE_UPPER_FAR
+        if j >= datum.rank:
             raise WeightShapeError(
-                f"{mu!r} is not of the shape p(l_i - l_j) for p = {p}"
+                f"case i < j needs the simple root l_{j} - l_{j + 1}, "
+                f"which does not exist in {datum.name}"
             )
-        i, j = (a + 1, b + 1) if x == p else (b + 1, a + 1)
-        if i < j:
-            case = CASE_UPPER_FAR
-            if j >= datum.rank:
-                raise WeightShapeError(
-                    f"case i < j needs the simple root l_{j} - l_{j + 1}, "
-                    f"which does not exist in {datum.name}"
-                )
-            k = j - 1
-            expected = p - 2
-        elif i == j + 1:
-            case = CASE_ADJACENT
-            k = i - 2
-            expected = 2 * p - 2
-        else:
-            case = CASE_LOWER_FAR
-            k = i - 2
-            expected = p - 2
-    # Keyed by the procedure too, so a substituted one decides for itself.
-    key = (andersen_h1, datum, p, i, j)
-    entry = _h1_memo.get(key)
-    if entry is None:
-        h1 = andersen_h1(mu, p)
-        # Through lattice itself: a substituted ``dynkin_labels`` here
-        # never fills the memo.
-        _remember(key, h1, lattice.dynkin_labels(mu))
+        k = j - 1
+        expected = p - 2
+    elif i == j + 1:
+        case = CASE_ADJACENT
+        k = i - 2
+        expected = 2 * p - 2
     else:
-        h1, labels = entry
-        _give_labels(mu, labels)
-    if not support:
-        return CaseRow(mu, CASE_DIAGONAL, None, None, h1)
+        case = CASE_LOWER_FAR
+        k = i - 2
+        expected = p - 2
+    h1 = andersen_h1(mu, p)
     # <s_alpha . mu, alpha^vee> = -<mu, alpha^vee> - 2, from the labels of mu.
     value = -dynkin_labels(mu).get(k, 0) - 2
     if value != expected:
@@ -272,21 +254,47 @@ def classify_weight(mu: Weight, p: int) -> CaseRow:
     return CaseRow(mu, case, datum.simple_roots[k], value, h1)
 
 
-def _remember(key: tuple, h1: H1Status, labels) -> None:
-    """Keep ``(h1, labels)`` in ``_h1_memo`` under key, within the bound.
+def _end_weight(datum: RootDatum, p: int, i: int, j: int) -> Weight:
+    """p(l_i - l_j) in GL(N), or its zero weight for i = j = 0; canonical as built."""
+    coords = [0] * datum.rank
+    if i:
+        coords[i - 1] = p
+        coords[j - 1] = -p
+    return _trusted_weight(tuple(coords), datum)
 
-    An entry counts 1, or 1 + N when its status holds a largest weight
-    (an adjacent row's zero weight of GL(N)); the memo is emptied when the
-    count would pass ``_H1_MEMO_MAX``.
+
+@lru_cache(maxsize=DENSE_LISTING_MAX)  # every d a certificate takes
+def _row_order(d: int) -> tuple[bytes, bytes]:
+    """The index pairs (i, j) of End(F*S) on Gr(d, N) in filtration order.
+
+    p(l_i - l_j) sorts as l_i - l_j does for every p > 0, and its
+    coordinates past d are zero, so the order depends on d alone: it is
+    read from the pipeline on Gr(d, d + 2).  The diagonal is (0, 0).  The
+    i and the j come as two byte strings, one byte per row, as
+    d <= DENSE_LISTING_MAX < 256.
     """
-    global _h1_memo_size
-    cost = 1 if h1.highest_weight is None else 1 + key[1].rank
-    size = _h1_memo_size + cost if _h1_memo else cost  # emptied elsewhere: recount
-    if size > _H1_MEMO_MAX:  # 1 + MAX_RANK alone is well under it
-        _h1_memo.clear()
+    pairs = []
+    for w in pullback_filtration(end_weights(tautological_weights(d, d + 2))):
+        coords = w.coords
+        pairs.append((coords.index(1) + 1, coords.index(-1) + 1) if any(coords) else (0, 0))
+    rows, columns = zip(*pairs)
+    return bytes(rows), bytes(columns)
+
+
+def _remember(key: tuple, row: CaseRow) -> None:
+    """Keep the finished row in ``_row_memo`` under key, within the bound.
+
+    An entry counts 1 + N for its weight of GL(N); the memo is emptied when
+    the count would pass ``_ROW_MEMO_MAX``.
+    """
+    global _row_memo_size
+    cost = 1 + key[1].rank
+    size = _row_memo_size + cost if _row_memo else cost  # emptied elsewhere: recount
+    if size > _ROW_MEMO_MAX:  # 1 + MAX_RANK alone is well under it
+        _row_memo.clear()
         size = cost
-    _h1_memo[key] = (h1, labels)
-    _h1_memo_size = size
+    _row_memo[key] = row
+    _row_memo_size = size
 
 
 def _validate_parameters(d: int, n: int, p: int) -> None:
@@ -365,11 +373,24 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
     Classifies all d^2 weights of End(F*S), evaluates the three
     smoothness conditions, and combines them with the Frobenius rigidity
     verdicts over Witt length two and characteristic zero.
+
+    A row is classified once per process and per decision procedure:
+    ``_row_memo`` keeps each finished row under (andersen_h1, datum, p, i,
+    j), and a later certificate that needs the row takes that very object.
+    The rows of Gr(d, N) are the d x d corner of those of Gr(d + 1, N), so
+    a sweep over d meets them again and again.
     """
     _validate_parameters(d, n, p)
-    twisted = frobenius_twist(tautological_weights(d, n), p)
-    filtration = pullback_filtration(end_weights(twisted))
-    rows = tuple(classify_weight(mu, p) for mu in filtration)
+    datum = make_datum("GL", n)
+    rows = []
+    for i, j in zip(*_row_order(d)):
+        # Keyed by the procedure too, so a substituted one decides for itself.
+        key = (andersen_h1, datum, p, i, j)
+        row = _row_memo.get(key)
+        if row is None:
+            row = classify_weight(_end_weight(datum, p, i, j), p)
+            _remember(key, row)
+        rows.append(row)
     if len(rows) != d * d:
         raise InternalInconsistencyError(f"{len(rows)} End weights classified, expected {d * d}")
     return certificate_from_rows(d, n, p, rows)

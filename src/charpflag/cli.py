@@ -354,13 +354,11 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
                 )
             q = dict(zip(source.roots, _json_ints(q_spec, "q entry")))
         ring = spec.get("ring_char", {"kind": "zero"})
-        ring_char = {
-            "zero": RingChar.zero,
-            "prime": lambda: RingChar.prime(_json_int(ring["p"], "ring_char p")),
-            "prime_power": lambda: RingChar.prime_power(
-                _json_int(ring["p"], "ring_char p"), _json_int(ring["n"], "ring_char n")
-            ),
-        }[ring["kind"]]()
+        kind = ring["kind"]
+        # Every field present reaches the constructor, which rejects one its kind ignores.
+        p = _json_int(ring["p"], "ring_char p") if "p" in ring else None
+        n = _json_int(ring["n"], "ring_char n") if "n" in ring else None
+        ring_char = RingChar(kind, p, n)
         verdict = validate_p_morphism(PMorphismData(source, target, h, d_map, q, ring_char))
     except CharpFlagError as exc:
         # Well-formed JSON whose data a typed check rejects (a rank past its

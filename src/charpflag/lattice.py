@@ -588,15 +588,6 @@ def dynkin_labels(lam: Weight) -> Mapping[int, int]:
     return labels
 
 
-def _give_labels(lam: Weight, labels: Mapping[int, int]) -> None:
-    """Keep on lam the labels ``dynkin_labels`` kept on an equal weight.
-
-    A weight that already keeps labels keeps its own.
-    """
-    if lam._labels is None:
-        _set_labels(lam, labels)
-
-
 def cartan_column(alpha: Root) -> tuple[tuple[int, int], ...]:
     """The nonzero labels ``(k, <alpha, alpha_k^vee>)`` of the root alpha.
 

@@ -22,8 +22,12 @@ from charpflag import (
     check_equivariant_smoothness,
     classify_weight,
     dynkin_labels,
+    end_weights,
+    frobenius_twist,
     make_datum,
     pairing,
+    pullback_filtration,
+    tautological_weights,
 )
 from charpflag import certificate, cli, lattice
 from charpflag.lattice import DENSE_LISTING_MAX, MAX_RANK, Weight
@@ -188,8 +192,14 @@ def test_check_equivariant_smoothness_counts_the_classified_rows(monkeypatch):
     # A filtration that lost a weight is a bug in the pipeline, not a certificate.
     real = certificate.pullback_filtration
     monkeypatch.setattr(certificate, "pullback_filtration", lambda weights: real(weights)[1:])
-    with pytest.raises(InternalInconsistencyError, match="^3 End weights classified, expected 4$"):
-        check_equivariant_smoothness(2, 6, 5)
+    certificate._row_order.cache_clear()  # the order is read through the substitute
+    try:
+        with pytest.raises(
+            InternalInconsistencyError, match="^3 End weights classified, expected 4$"
+        ):
+            check_equivariant_smoothness(2, 6, 5)
+    finally:
+        certificate._row_order.cache_clear()  # no order read from it survives the test
 
 
 def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
@@ -206,7 +216,7 @@ def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
         bound = getattr(module, "pairing", None)
         if name.partition(".")[0] == "charpflag" and bound is real_pairing:
             monkeypatch.setattr(module, "pairing", counting)
-    certificate._h1_memo.clear()  # a cold memo
+    certificate._row_memo.clear()  # a cold memo
     cert = check_equivariant_smoothness(3, 6, 5)
     assert cert.final_verdict == VERDICT_NO_LIFT
     # Labels pair p(l_i - l_j) with the simple roots whose coroot meets
@@ -216,7 +226,7 @@ def test_a_certificate_computes_each_rows_labels_once(monkeypatch):
     # each closed-form check reads its row's labels.
     assert len(evaluated) == 2 * (2 + 3 + 3)
     assert len(set(evaluated)) == len(evaluated)
-    # A warm memo gives every row its kept labels: no pairing at all.
+    # A warm memo gives back the finished rows: no pairing at all.
     evaluated.clear()
     assert check_equivariant_smoothness(3, 6, 5) == cert
     assert evaluated == []
@@ -405,8 +415,8 @@ def test_nonzero_highest_weight_rows_never_certify():
 
 
 # ---------------------------------------------------------------------------
-# The far-row H^1 memo: each vanishing row is decided once per process and
-# per decision procedure, and every other check still runs on every row.
+# The row memo: each row is classified once per process and per decision
+# procedure, with every check, and later certificates take the finished row.
 
 
 def _counting_h1(calls):
@@ -450,46 +460,75 @@ def test_the_memo_decides_each_far_row_once(monkeypatch):
         assert json.dumps(check_equivariant_smoothness(d, 10, 7).to_json()) == built[d]
 
 
-def test_a_memo_hit_still_checks_the_closed_form(monkeypatch):
-    calls = []
-    monkeypatch.setattr(certificate, "andersen_h1", _counting_h1(calls))
-    assert classify_weight(_end_weight(8, 7, 4, 2), 7).h1.is_zero  # lower far: kept
-    monkeypatch.setattr(
-        "charpflag.certificate.dynkin_labels",
-        lambda lam: {k: c + 1 for k, c in dynkin_labels(lam).items()},
-    )
-    with pytest.raises(InternalInconsistencyError, match="closed form 5"):
-        classify_weight(_end_weight(8, 7, 4, 2), 7)
-    assert len(calls) == 1  # the second row was a hit
+_ORDER_CASES = [
+    (d, n, p)
+    for d in list(range(2, 17)) + [DENSE_LISTING_MAX]
+    for n, p in ((d + 2, 5), (2 * d + 3, 13))
+]
+
+
+def test_the_rows_follow_the_pipelines_filtration_order():
+    # The order is read once per d on Gr(d, d + 2); it must be the order of
+    # the twisted End bundle on every Gr(d, N) at every p.
+    for warm in (False, True):
+        for d, n, p in _ORDER_CASES:
+            if not warm:
+                certificate._row_memo.clear()
+                certificate._row_order.cache_clear()
+            expected = pullback_filtration(
+                end_weights(frobenius_twist(tautological_weights(d, n), p))
+            )
+            rows = check_equivariant_smoothness(d, n, p).rows
+            assert tuple(row.weight for row in rows) == expected, (d, n, p, warm)
+
+
+def test_a_row_whose_closed_form_check_failed_is_never_stored(monkeypatch):
+    certificate._row_memo.clear()
+    bad = _end_weight(8, 7, 2, 1)  # the adjacent row p(l_2 - l_1)
+
+    def labels(lam):
+        found = dynkin_labels(lam)
+        return {k: c + 1 for k, c in found.items()} if lam == bad else found
+
+    monkeypatch.setattr("charpflag.certificate.dynkin_labels", labels)
+    with pytest.raises(InternalInconsistencyError, match="closed form 12"):
+        check_equivariant_smoothness(3, 8, 7)
+    datum = bad.datum
+    assert (andersen_h1, datum, 7, 2, 1) not in certificate._row_memo
+    assert certificate._row_memo  # the rows before it passed their checks
+    assert all(row.weight != bad for row in certificate._row_memo.values())
+    monkeypatch.undo()
+    cert = check_equivariant_smoothness(3, 8, 7)
+    assert certificate._row_memo[(andersen_h1, datum, 7, 2, 1)].weight == bad
+    certificate._row_memo.clear()
+    assert check_equivariant_smoothness(3, 8, 7) == cert
+
+
+def _memo_count():
+    # An entry counts 1 + N for its weight of GL(N).
+    return sum(1 + key[1].rank for key in certificate._row_memo)
 
 
 def test_the_memo_is_bounded_and_a_clear_keeps_the_bytes(monkeypatch):
-    # Five certificates at the d bound hold 5 * (64^2 - 64 - 63) = 19,845 far
-    # rows, more than the memo keeps.
-    cap = certificate._H1_MEMO_MAX
+    # One certificate at the d bound holds 64^2 - 63 = 4,033 distinct rows
+    # of count 67 each, more than four times what the memo keeps.
+    cap = certificate._ROW_MEMO_MAX
+    certificate._row_memo.clear()
     sizes = []
 
     def observing(mu, p):
-        sizes.append(len(certificate._h1_memo))
+        sizes.append(len(certificate._row_memo))
         return andersen_h1(mu, p)
 
     monkeypatch.setattr(certificate, "andersen_h1", observing)
     d, n = DENSE_LISTING_MAX, DENSE_LISTING_MAX + 2
-    primes = (5, 7, 11, 13, 17)
+    primes = (5, 7)
     first = [json.dumps(check_equivariant_smoothness(d, n, p).to_json()) for p in primes]
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo was emptied
     again = [json.dumps(check_equivariant_smoothness(d, n, p).to_json()) for p in primes]
     assert again == first
-    assert max(sizes) <= cap
-    assert len(certificate._h1_memo) <= cap
-
-
-def _memo_count():
-    # An entry counts 1, or 1 + N when its status holds a largest weight.
-    return sum(
-        1 if h1.highest_weight is None else 1 + key[1].rank
-        for key, (h1, _) in certificate._h1_memo.items()
-    )
+    assert max(sizes) <= cap // (1 + n)
+    assert _memo_count() <= cap
 
 
 _FILL_GRID = [(d, n, p) for p in (5, 7, 11, 13) for n in range(4, 11) for d in range(2, n - 1)]
@@ -498,7 +537,7 @@ _FILL_GRID = [(d, n, p) for p in (5, 7, 11, 13) for n in range(4, 11) for d in r
 def test_the_memo_fill_order_never_changes_a_byte():
     cold = []
     for d, n, p in _FILL_GRID:
-        certificate._h1_memo.clear()
+        certificate._row_memo.clear()
         cold.append(json.dumps(check_equivariant_smoothness(d, n, p).to_json()))
     for d, n, p in reversed(_FILL_GRID):
         check_equivariant_smoothness(d, n, p)
@@ -508,47 +547,51 @@ def test_the_memo_fill_order_never_changes_a_byte():
         for row in cert.rows:
             fresh = Weight(row.weight.coords, row.weight.datum)
             assert dynkin_labels(row.weight) == dynkin_labels(fresh)
-            if row.case_tag == CASE_ADJACENT:
-                assert row.h1 == andersen_h1(fresh, p)
-    for (_, datum, p, i, j), (h1, labels) in certificate._h1_memo.items():
+            assert row.h1 == andersen_h1(fresh, p)
+    # Each kept row is the row its key names, with every check passed again.
+    for (_, datum, p, i, j), row in certificate._row_memo.items():
         mu = _end_weight(datum.rank, p, i, j) if i else datum.zero()
-        assert labels == dynkin_labels(mu)
+        assert row == classify_weight(mu, p)
 
 
 def test_the_memo_count_stays_under_its_cap_and_a_clear_keeps_the_bytes(monkeypatch):
-    # Gr(3, 1024) keeps two adjacent rows of 1 + 1024 each per prime, and
-    # Gr(64, 66) 8,191 counted per prime: five primes pass the cap.
-    certificate._h1_memo.clear()
+    # Gr(3, 1024) keeps 7 distinct rows of count 1 + 1024 per prime: nine
+    # primes pass the cap.
+    certificate._row_memo.clear()
     counts = []
 
     def observing(mu, p):
-        counts.append(certificate._h1_memo_size)
+        counts.append(certificate._row_memo_size)
         return andersen_h1(mu, p)
 
     monkeypatch.setattr(certificate, "andersen_h1", observing)
-    cases = [(d, n, p) for d, n in ((3, 1024), (64, 66)) for p in (5, 7, 11, 13, 17)]
+    cases = [(3, 1024, p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
+    cases += [(64, 66, 5)]
     first = []
     for case in cases:
         first.append(json.dumps(check_equivariant_smoothness(*case).to_json()))
-        counts.append(certificate._h1_memo_size)
+        counts.append(certificate._row_memo_size)
         assert counts[-1] == _memo_count()
     assert any(b < a for a, b in zip(counts, counts[1:]))  # the memo was emptied
-    assert max(counts) <= certificate._H1_MEMO_MAX
-    certificate._h1_memo.clear()
+    assert max(counts) <= certificate._ROW_MEMO_MAX
+    certificate._row_memo.clear()
     assert [json.dumps(check_equivariant_smoothness(*case).to_json()) for case in cases] == first
 
 
 def test_a_substituted_labels_function_never_fills_the_memo(monkeypatch):
-    certificate._h1_memo.clear()
-    mu = _end_weight(8, 7, 4, 2)  # lower far
+    certificate._row_memo.clear()
     monkeypatch.setattr(
         "charpflag.certificate.dynkin_labels",
         lambda lam: {k: c + 1 for k, c in dynkin_labels(lam).items()},
     )
+    # The first row of Gr(4, 8) is the lower far p(l_3 - l_1): its check fails.
     with pytest.raises(InternalInconsistencyError, match="closed form 5"):
-        classify_weight(mu, 7)  # a miss: decided and kept, then the check fails
+        check_equivariant_smoothness(4, 8, 7)
+    assert certificate._row_memo == {}
     monkeypatch.undo()
-    fresh = _end_weight(8, 7, 4, 2)
-    row = classify_weight(fresh, 7)  # a hit
-    assert dynkin_labels(row.weight) == dynkin_labels(Weight(fresh.coords, fresh.datum))
-    assert row.pairing_value == 5
+    cert = check_equivariant_smoothness(4, 8, 7)
+    assert cert.final_verdict == VERDICT_NO_LIFT
+    assert len(certificate._row_memo) == 4 * 4 - 4 + 1
+    for row in cert.rows:
+        fresh = Weight(row.weight.coords, row.weight.datum)
+        assert dynkin_labels(row.weight) == dynkin_labels(fresh)

@@ -629,6 +629,30 @@ def test_isogeny_check_keeps_malformed_for_missing_keys(capsys, tmp_path):
     assert err == f"usage error: malformed morphism description in {path}: 'h'\n"
 
 
+@pytest.mark.parametrize(
+    "ring,message",
+    [
+        ({"kind": "zero", "p": 5}, "ring kind zero takes no prime, got p = 5"),
+        ({"kind": "prime", "p": 5, "n": 3}, "ring kind prime takes no exponent, got n = 3"),
+        ({"kind": "frob"}, "ring kind must be zero, prime or prime_power, got 'frob'"),
+    ],
+    ids=["zero-with-p", "prime-with-n", "unknown-kind"],
+)
+def test_isogeny_check_rejects_a_ring_field_its_kind_ignores(capsys, tmp_path, ring, message):
+    # A field that the ring's kind ignores is an error, not dropped.
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(ring_char=ring))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: invalid morphism data in {path}: {message}\n"
+
+
+def test_isogeny_check_keeps_malformed_for_a_ring_without_a_kind(capsys, tmp_path):
+    path = _write_morphism(tmp_path, _gl3_identity_morphism(ring_char={"p": 5}))
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: malformed morphism description in {path}: 'kind'\n"
+
+
 def test_isogeny_check_oversized_ring_prime_is_a_one_line_error(capsys, tmp_path):
     path = _write_morphism(
         tmp_path, _gl3_identity_morphism(ring_char={"kind": "prime", "p": int(M61)})

@@ -243,6 +243,33 @@ def test_andersen_h1_commutes_with_the_diagram_flip():
 
     _assert_metamorphic(20261020, image_of)
 
+
+def test_andersen_h1_commutes_with_the_steinberg_map():
+    # Jantzen II.3.19: H^1((p-1)rho + p mu) = St (x) H^1(mu)^[1], so the
+    # image of mu has the H^1 status of mu, and a largest weight nu goes to
+    # (p-1)rho + p nu.  Checked wherever both sides are decided.
+    rng = random.Random(20261021)
+    statuses = {"zero": 0, "nonzero": 0}
+    for n in range(2, 7):
+        datum = make_datum("GL", n)
+        rho = range(n - 1, -1, -1)
+        for _ in range(METAMORPHIC_WEIGHTS):
+            p = rng.choice(METAMORPHIC_PRIMES)
+            bound = 3 * p * p
+            coords = [rng.randint(-bound, bound) for _ in range(n)]
+
+            def image(coords):
+                return tuple((p - 1) * r + p * c for r, c in zip(rho, coords))
+
+            before = andersen_h1(datum.weight(coords), p)
+            after = andersen_h1(datum.weight(image(coords)), p)
+            if "undetermined" in (before.status, after.status):
+                continue
+            assert _mapped(after, tuple)[:2] == _mapped(before, image)[:2], (coords, p)
+            statuses[before.status] += 1
+    assert min(statuses.values()) > 1000, statuses
+
+
 def test_filtration_with_undetermined_weight_is_unknown():
     d = make_datum("GL", 4)
     weights = [d.zero(), d.weight((0, 2, 0, 0))]
