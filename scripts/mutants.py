@@ -14,7 +14,7 @@ A refactor that moves a check updates its row, as it would any test.
 ``EQUIVALENT`` lists mutants that cannot be killed, each with its
 reason; they are not run.
 
-Example (from the root of a checkout; about a minute on 2 vCPUs):
+Example (from the root of a checkout; about three minutes on 2 vCPUs):
     python scripts/mutants.py
 """
 
@@ -118,23 +118,44 @@ MUTANTS = (
     (
         "row-count",
         "certificate.py",
-        "if len(rows) != d * d:",
+        "if len(keys) != d * d:",
         "if False:",
         "a certificate classifies d*d End weights",
     ),
     (
         "memo-key-procedure",
         "certificate.py",
-        "key = (andersen_h1, datum, p, i, j)",
-        "key = (datum, p, i, j)",
-        "a substituted H^1 procedure is not answered from another's memo entries",
+        "key = (andersen_h1, datum, p)",
+        "key = (None, datum, p)",
+        "a substituted H^1 procedure is not answered from another's row table",
     ),
     (
         "memo-bound",
         "certificate.py",
-        "if size > _ROW_MEMO_MAX:",
-        "if False:",
-        "the row memo is emptied at its bound",
+        "while _row_memo_size > _ROW_MEMO_MAX:",
+        "while False:",
+        "the least recently used row tables are dropped past the memo's bound",
+    ),
+    (
+        "memo-oversized-table",
+        "certificate.py",
+        "if not count or count > _ROW_MEMO_MAX:",
+        "if not count:",
+        "a row table that alone passes the memo's bound is not kept",
+    ),
+    (
+        "memo-lock",
+        "certificate.py",
+        "with _row_lock:",
+        "if True:",
+        "one thread at a time reads and changes the row tables",
+    ),
+    (
+        "row-fact-dominance",
+        "certificate.py",
+        "None if weight.is_zero() else is_dominant(weight)",
+        "None if weight.is_zero() else False",
+        "condition (i) reads each row's own dominance, set from its weight",
     ),
     (
         "q-positive",
@@ -212,6 +233,66 @@ MUTANTS = (
         "if alpha.datum is not datum:",
         "if False:",
         "pairing takes a weight and a root of one datum",
+    ),
+    (
+        "weight-sub-datum",
+        "lattice.py",
+        "if other.datum is not self.datum:\n"
+        "            raise _mismatch(self, other)\n"
+        "        return _trusted_weight(tuple(map(sub,",
+        "if False:\n"
+        "            raise _mismatch(self, other)\n"
+        "        return _trusted_weight(tuple(map(sub,",
+        "a difference of weights takes two weights of one datum",
+    ),
+    (
+        "pairing-denominator",
+        "lattice.py",
+        "if pairing_denominator < 1:",
+        "if False:",
+        "a datum's pairing denominator is at least 1",
+    ),
+    (
+        "custom-datum-coords",
+        "lattice.py",
+        "        _check_coords(coords, rank, name)\n        return tuple((i, c)",
+        "        return tuple((i, c)",
+        "a custom datum's roots and coroots are points of Z^rank",
+    ),
+    (
+        "custom-simple-positive",
+        "lattice.py",
+        "if sup not in coroot_of:",
+        "if False:",
+        "a custom datum's simple roots are among its positive roots",
+    ),
+    (
+        "custom-simple-repeated",
+        "lattice.py",
+        "if sup in simples:",
+        "if False:",
+        "a custom datum lists no simple root twice",
+    ),
+    (
+        "ring-zero",
+        "cli.py",
+        'if s == "zero":',
+        "if False:",
+        "--ring zero is characteristic zero",
+    ),
+    (
+        "ring-prime-power",
+        "cli.py",
+        "if split is None:",
+        "if False:",
+        "--ring 12 is refused: a ring characteristic is 0 or a prime power",
+    ),
+    (
+        "malformed-datum-handler",
+        "cli.py",
+        "except (KeyError, TypeError) as exc:",
+        "except () as exc:",
+        "a malformed custom datum description is a usage error",
     ),
 )
 

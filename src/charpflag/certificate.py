@@ -15,8 +15,10 @@ certificate never overstates a vanishing claim.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from functools import lru_cache
 from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .arith import require_prime
@@ -61,18 +63,27 @@ STANDING_ASSUMPTIONS = ("grassmannian_rigid", "h2_structure_sheaf_vanishes")
 VERDICT_NO_LIFT = "no_lift_where_p_nonzero"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# Each finished row by (andersen_h1, datum, p, i, j), i = j = 0 on the
-# diagonal, and the memo's counted size.  See ``check_equivariant_smoothness``
-# and ``_remember``.
+# The finished rows: one table per (andersen_h1, datum, p), least recently
+# used first, mapping i * 256 + j to the row of p(l_i - l_j) and 0 to the
+# diagonal row; and the memo's counted size.  See
+# ``check_equivariant_smoothness`` and ``_fill``.
 _ROW_MEMO_MAX = 1 << 16
 _row_memo: dict = {}
 _row_memo_size = 0
+_row_lock = allocate_lock()  # threading.Lock, without importing threading
 
 
 class CaseRow(_Value):
-    """One End-bundle weight with its case tag and H^1 classification."""
+    """One End-bundle weight with its case tag and H^1 classification.
 
-    __slots__ = _fields = ("weight", "case_tag", "chosen_simple_root", "pairing_value", "h1")
+    ``_dominant`` is the fact condition (i) reads: None for a zero weight
+    (a diagonal row), else whether the weight is dominant.  The
+    constructor sets it from the weight; it takes no part in equality,
+    hashing or ``repr``.
+    """
+
+    __slots__ = ("weight", "case_tag", "chosen_simple_root", "pairing_value", "h1", "_dominant")
+    _fields = ("weight", "case_tag", "chosen_simple_root", "pairing_value", "h1")
 
     weight: Weight
     case_tag: str
@@ -86,6 +97,7 @@ class CaseRow(_Value):
         _set_row_root(self, chosen_simple_root)
         _set_row_pairing(self, pairing_value)
         _set_row_h1(self, h1)
+        _set_row_dominant(self, None if weight.is_zero() else is_dominant(weight))
 
     def to_json(self) -> dict:
         return {
@@ -104,6 +116,9 @@ _set_row_case = CaseRow.case_tag.__set__
 _set_row_root = CaseRow.chosen_simple_root.__set__
 _set_row_pairing = CaseRow.pairing_value.__set__
 _set_row_h1 = CaseRow.h1.__set__
+_set_row_dominant = CaseRow._dominant.__set__
+_row_dominant = attrgetter("_dominant")
+_row_h1 = attrgetter("h1")
 
 
 class ConditionCheck(_Value):
@@ -264,37 +279,55 @@ def _end_weight(datum: RootDatum, p: int, i: int, j: int) -> Weight:
 
 
 @lru_cache(maxsize=DENSE_LISTING_MAX)  # every d a certificate takes
-def _row_order(d: int) -> tuple[bytes, bytes]:
-    """The index pairs (i, j) of End(F*S) on Gr(d, N) in filtration order.
+def _row_order(d: int) -> tuple[tuple[int, ...], itemgetter]:
+    """The rows of End(F*S) on Gr(d, N) in filtration order, as table keys.
 
     p(l_i - l_j) sorts as l_i - l_j does for every p > 0, and its
     coordinates past d are zero, so the order depends on d alone: it is
-    read from the pipeline on Gr(d, d + 2).  The diagonal is (0, 0).  The
-    i and the j come as two byte strings, one byte per row, as
-    d <= DENSE_LISTING_MAX < 256.
+    read from the pipeline on Gr(d, d + 2).  Row (i, j) is keyed
+    i * 256 + j, one-to-one as d <= DENSE_LISTING_MAX < 256; the diagonal
+    is 0.  Returns the d^2 keys and an ``itemgetter`` that takes their
+    rows from a table in one call.
     """
-    pairs = []
+    keys = []
     for w in pullback_filtration(end_weights(tautological_weights(d, d + 2))):
         coords = w.coords
-        pairs.append((coords.index(1) + 1, coords.index(-1) + 1) if any(coords) else (0, 0))
-    rows, columns = zip(*pairs)
-    return bytes(rows), bytes(columns)
+        keys.append((coords.index(1) + 1) * 256 + coords.index(-1) + 1 if any(coords) else 0)
+    return tuple(keys), itemgetter(*keys)
 
 
-def _remember(key: tuple, row: CaseRow) -> None:
-    """Keep the finished row in ``_row_memo`` under key, within the bound.
+def _fill(key: tuple, table: dict, keys: tuple[int, ...]) -> None:
+    """Classify the rows of ``keys`` missing from ``table`` and keep the table.
 
-    An entry counts 1 + N for its weight of GL(N); the memo is emptied when
-    the count would pass ``_ROW_MEMO_MAX``.
+    Each row is stored only once ``classify_weight`` has returned it, so a
+    row whose check raised is never kept, and the rows before it are.  A
+    row counts 1 + N for its weight of GL(N).  The bound is checked here,
+    once the certificate's rows are in, never while they are classified:
+    a table that alone passes ``_ROW_MEMO_MAX`` is not kept, and
+    otherwise whole least recently used tables are dropped until the
+    count fits.
     """
     global _row_memo_size
-    cost = 1 + key[1].rank
-    size = _row_memo_size + cost if _row_memo else cost  # emptied elsewhere: recount
-    if size > _ROW_MEMO_MAX:  # 1 + MAX_RANK alone is well under it
-        _row_memo.clear()
-        size = cost
-    _row_memo[key] = row
-    _row_memo_size = size
+    _, datum, p = key
+    cost = 1 + datum.rank
+    if not _row_memo:  # emptied elsewhere: recount
+        _row_memo_size = len(table) * cost
+    before = len(table)
+    try:
+        for index in keys:
+            if index not in table:
+                i, j = divmod(index, 256)
+                table[index] = classify_weight(_end_weight(datum, p, i, j), p)
+    finally:
+        count = len(table) * cost
+        if not count or count > _ROW_MEMO_MAX:  # empty, or alone past the cap
+            _row_memo_size -= before * cost
+        else:
+            _row_memo_size += count - before * cost
+            _row_memo[key] = table
+            while _row_memo_size > _ROW_MEMO_MAX:
+                oldest = next(iter(_row_memo))
+                _row_memo_size -= len(_row_memo.pop(oldest)) * (1 + oldest[1].rank)
 
 
 def _validate_parameters(d: int, n: int, p: int) -> None:
@@ -317,14 +350,10 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
     _validate_parameters(d, n, p)
     rows = tuple(rows)
 
-    off_diagonal = 0
-    dominant_off = []
-    for row in rows:
-        w = row.weight
-        if not w.is_zero():
-            off_diagonal += 1
-            if is_dominant(w):
-                dominant_off.append(w)
+    # Each row carries its weight's dominance, None on the diagonal.
+    facts = list(map(_row_dominant, rows))
+    off_diagonal = len(facts) - facts.count(None)
+    dominant_off = [row.weight for row in compress(rows, facts)]
     cond_i = ConditionCheck(
         holds=not dominant_off,
         detail=(
@@ -337,7 +366,7 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
         ),
     )
 
-    aggregate = aggregate_h1_statuses([row.h1 for row in rows])
+    aggregate = aggregate_h1_statuses(map(_row_h1, rows))
     cond_ii = ConditionCheck(
         holds=aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE),
         detail=f"H^1(X, End) aggregates to '{aggregate.value}' over the line-bundle filtration",
@@ -375,22 +404,26 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
     verdicts over Witt length two and characteristic zero.
 
     A row is classified once per process and per decision procedure:
-    ``_row_memo`` keeps each finished row under (andersen_h1, datum, p, i,
-    j), and a later certificate that needs the row takes that very object.
-    The rows of Gr(d, N) are the d x d corner of those of Gr(d + 1, N), so
-    a sweep over d meets them again and again.
+    ``_row_memo`` keeps each finished row in the table of (andersen_h1,
+    datum, p), and a later certificate that needs the row takes that very
+    object; when all its rows are there, it takes them in one call.  The
+    rows of Gr(d, N) are the d x d corner of those of Gr(d + 1, N), so a
+    sweep over d meets them again and again.
     """
     _validate_parameters(d, n, p)
     datum = make_datum("GL", n)
-    rows = []
-    for i, j in zip(*_row_order(d)):
-        # Keyed by the procedure too, so a substituted one decides for itself.
-        key = (andersen_h1, datum, p, i, j)
-        row = _row_memo.get(key)
-        if row is None:
-            row = classify_weight(_end_weight(datum, p, i, j), p)
-            _remember(key, row)
-        rows.append(row)
-    if len(rows) != d * d:
-        raise InternalInconsistencyError(f"{len(rows)} End weights classified, expected {d * d}")
+    keys, take = _row_order(d)
+    if len(keys) != d * d:
+        raise InternalInconsistencyError(f"{len(keys)} End weights classified, expected {d * d}")
+    # Keyed by the procedure too, so a substituted one decides for itself.
+    key = (andersen_h1, datum, p)
+    with _row_lock:  # one thread at a time reads and changes the memo
+        table = _row_memo.pop(key, None) or {}
+        try:
+            rows = take(table)
+        except KeyError:
+            _fill(key, table, keys)
+            rows = take(table)
+        else:
+            _row_memo[key] = table  # most recently used last
     return certificate_from_rows(d, n, p, rows)

@@ -236,9 +236,10 @@ def aggregate_h1_statuses(statuses: Iterable[H1Status]) -> FiltrationH1:
     """
     saw_trivial = False
     for st in statuses:
-        if st.is_zero:
+        status = st.status
+        if status == "zero":
             continue
-        if st.is_trivial_module:
+        if status == "nonzero" and st.highest_weight.is_zero():  # a trivial module
             saw_trivial = True
             continue
         return FiltrationH1.UNKNOWN

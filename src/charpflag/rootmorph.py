@@ -48,7 +48,8 @@ class RingChar(_Value):
         if kind != "prime_power" and n is not None:
             raise DomainError(f"ring kind {kind} takes no exponent, got n = {n!r}")
         if kind != "zero":
-            require_prime(p, "ring characteristic " if kind == "prime" else "")
+            label = "ring characteristic " if kind == "prime" else "prime_power ring prime p = "
+            require_prime(p, label)
         if kind == "prime_power":
             if type(n) is not int:
                 raise DomainError(f"prime_power exponent must be an integer, got {n!r}")

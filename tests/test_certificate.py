@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,12 +25,14 @@ from charpflag import (
     dynkin_labels,
     end_weights,
     frobenius_twist,
+    is_dominant,
     make_datum,
     pairing,
     pullback_filtration,
     tautological_weights,
 )
 from charpflag import certificate, cli, lattice
+from charpflag.cohomology import FiltrationH1, aggregate_h1_statuses
 from charpflag.lattice import DENSE_LISTING_MAX, MAX_RANK, Weight
 from charpflag.certificate import (
     CASE_ADJACENT,
@@ -415,6 +418,78 @@ def test_nonzero_highest_weight_rows_never_certify():
 
 
 # ---------------------------------------------------------------------------
+# Assembly: conditions (i) and (ii) from each row's own facts
+
+
+def _reference_conditions(rows):
+    # Conditions (i) and (ii) as (holds, detail), read from each row's
+    # weight and H^1 status, as the certificate read them before rows
+    # carried their dominance.
+    off_diagonal = [row.weight for row in rows if not row.weight.is_zero()]
+    dominant = [w for w in off_diagonal if is_dominant(w)]
+    if dominant:
+        detail_i = (
+            f"dominant off-diagonal weights {sorted(w.coords for w in dominant)} "
+            "contribute unknown H^0 summands"
+        )
+    else:
+        detail_i = (
+            f"all {len(off_diagonal)} off-diagonal End weights are non-dominant, so "
+            "H^0(X, End) is filtered by trivial modules and H^2(G, -) of a trivial "
+            "module vanishes for reductive G"
+        )
+    statuses = [row.h1 for row in rows]
+    if all(st.is_zero for st in statuses):
+        aggregate = FiltrationH1.ZERO
+    elif all(st.is_zero or st.is_trivial_module for st in statuses):
+        aggregate = FiltrationH1.TRIVIAL_MODULE
+    else:
+        aggregate = FiltrationH1.UNKNOWN
+    assert aggregate_h1_statuses(statuses) is aggregate
+    detail_ii = f"H^1(X, End) aggregates to '{aggregate.value}' over the line-bundle filtration"
+    holds_ii = aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE)
+    return ConditionCheck(not dominant, detail_i), ConditionCheck(holds_ii, detail_ii)
+
+
+def _injected_rows():
+    # A dominant p(l_1 - l_N), then a trivial, a non-trivial and an
+    # undetermined H^1 on the adjacent weight p(l_2 - l_1).
+    gl6 = make_datum("GL", 6)
+    dominant = _end_weight(6, 5, 1, 6)
+    adjacent = _end_weight(6, 5, 2, 1)
+    statuses = (
+        H1Status.nonzero(gl6.zero()),
+        H1Status.nonzero(gl6.weight((1, 0, 0, 0, 0, 0))),
+        H1Status.undetermined("injected"),
+    )
+    rows = [CaseRow(dominant, CASE_UPPER_FAR, None, None, andersen_h1(dominant, 5))]
+    return rows + [CaseRow(adjacent, CASE_ADJACENT, None, None, h1) for h1 in statuses]
+
+
+def test_conditions_i_and_ii_match_a_reference_on_injected_rows():
+    pool = list(check_equivariant_smoothness(3, 6, 5).rows) + _injected_rows()
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        rows = rng.choices(pool, k=rng.randrange(13))
+        cert = certificate_from_rows(3, 6, 5, rows)
+        cond_i, cond_ii = _reference_conditions(rows)
+        assert (cert.condition_i, cert.condition_ii) == (cond_i, cond_ii)
+        seen.add((cond_i.holds, cond_ii.detail))
+    # Every outcome of both conditions was met.
+    assert {holds for holds, _ in seen} == {True, False}
+    assert len({detail for _, detail in seen}) == 3
+
+
+def test_each_row_carries_its_own_weights_dominance():
+    rows = list(check_equivariant_smoothness(4, 9, 7).rows) + _injected_rows()
+    for row in rows + [pickle.loads(pickle.dumps(row)) for row in rows] + list(map(rebuilt, rows)):
+        expected = None if row.weight.is_zero() else is_dominant(row.weight)
+        assert row._dominant is expected
+    assert [row._dominant for row in _injected_rows()] == [True, False, False, False]
+
+
+# ---------------------------------------------------------------------------
 # The row memo: each row is classified once per process and per decision
 # procedure, with every check, and later certificates take the finished row.
 
@@ -482,6 +557,17 @@ def test_the_rows_follow_the_pipelines_filtration_order():
             assert tuple(row.weight for row in rows) == expected, (d, n, p, warm)
 
 
+def _kept_rows():
+    # (datum, p, i, j, row) for every kept row; i = j = 0 on the diagonal.
+    for (_, datum, p), table in certificate._row_memo.items():
+        for index, row in table.items():
+            yield (datum, p, *divmod(index, 256), row)
+
+
+def _kept(procedure, datum, p, i, j):
+    return certificate._row_memo.get((procedure, datum, p), {}).get(i * 256 + j)
+
+
 def test_a_row_whose_closed_form_check_failed_is_never_stored(monkeypatch):
     certificate._row_memo.clear()
     bad = _end_weight(8, 7, 2, 1)  # the adjacent row p(l_2 - l_1)
@@ -494,19 +580,122 @@ def test_a_row_whose_closed_form_check_failed_is_never_stored(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="closed form 12"):
         check_equivariant_smoothness(3, 8, 7)
     datum = bad.datum
-    assert (andersen_h1, datum, 7, 2, 1) not in certificate._row_memo
+    assert _kept(andersen_h1, datum, 7, 2, 1) is None
     assert certificate._row_memo  # the rows before it passed their checks
-    assert all(row.weight != bad for row in certificate._row_memo.values())
+    assert all(kept[-1].weight != bad for kept in _kept_rows())
     monkeypatch.undo()
     cert = check_equivariant_smoothness(3, 8, 7)
-    assert certificate._row_memo[(andersen_h1, datum, 7, 2, 1)].weight == bad
+    assert _kept(andersen_h1, datum, 7, 2, 1).weight == bad
     certificate._row_memo.clear()
     assert check_equivariant_smoothness(3, 8, 7) == cert
 
 
 def _memo_count():
-    # An entry counts 1 + N for its weight of GL(N).
-    return sum(1 + key[1].rank for key in certificate._row_memo)
+    # A row counts 1 + N for its weight of GL(N).
+    return sum(len(table) * (1 + key[1].rank) for key, table in certificate._row_memo.items())
+
+
+def test_a_partly_filled_table_gives_the_certificate_a_cold_memo_gives():
+    rng = random.Random(20261019)
+    datum = make_datum("GL", 9)
+    for p in (5, 13):
+        certificate._row_memo.clear()
+        cold = check_equivariant_smoothness(6, 9, p)
+        expected = json.dumps(cold.to_json())
+        for _ in range(4):
+            # Tables filled by smaller certificates, then with rows taken out.
+            certificate._row_memo.clear()
+            for d in rng.sample(range(2, 6), rng.randrange(1, 5)):
+                check_equivariant_smoothness(d, 9, p)
+            table = certificate._row_memo[(andersen_h1, datum, p)]
+            for index in rng.sample(sorted(table), rng.randrange(len(table))):
+                del table[index]
+            cert = check_equivariant_smoothness(6, 9, p)
+            assert cert == cold
+            assert json.dumps(cert.to_json()) == expected
+            assert len(table) == 6 * 6 - 6 + 1
+    certificate._row_memo.clear()  # its count was not told of the rows taken out
+
+
+def test_a_warm_certificate_returns_the_stored_row_objects():
+    check_equivariant_smoothness(5, 8, 11)
+    table = certificate._row_memo[(andersen_h1, make_datum("GL", 8), 11)]
+    keys, _ = certificate._row_order(5)
+    rows = check_equivariant_smoothness(5, 8, 11).rows
+    assert len(rows) == len(keys) == 25
+    assert all(row is table[key] for row, key in zip(rows, keys))
+
+
+def test_the_memo_keeps_small_tables_past_an_oversized_one(monkeypatch):
+    # Gr(64, 66) holds 4,033 rows of count 67: its table alone passes the
+    # cap, so it is not kept, and the small tables stay.  Past the cap,
+    # whole least recently used tables go first.
+    cap = certificate._ROW_MEMO_MAX
+    certificate._row_memo.clear()
+    classified = []
+
+    def counting(mu, p):
+        classified.append(mu)
+        return classify_weight(mu, p)
+
+    monkeypatch.setattr(certificate, "classify_weight", counting)
+
+    def run(d, n, p):
+        before = len(classified)
+        check_equivariant_smoothness(d, n, p)
+        assert certificate._row_memo_size == _memo_count() <= cap
+        return len(classified) - before
+
+    assert [run(*case) for case in [(4, 8, 7), (64, 66, 7), (64, 66, 7), (4, 8, 7)]] == [
+        13,
+        4033,
+        4033,
+        0,
+    ]
+    # Gr(3, 1024) keeps 7 rows of count 1025 per prime: the tenth prime
+    # passes the cap.  Gr(4, 8) is used after each, so it is never the
+    # least recently used.
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in primes:
+        assert run(3, 1024, p) == 7
+        assert run(4, 8, 7) == 0
+    gl1024 = make_datum("GL", 1024)
+    assert [key[1:] for key in certificate._row_memo] == [(gl1024, p) for p in primes[1:]] + [
+        (make_datum("GL", 8), 7)
+    ]
+    certificate._row_memo.clear()
+
+
+def test_threads_sharing_the_memo_get_the_certificates_one_thread_gets(monkeypatch):
+    # A small cap, so that tables are dropped while other threads hold theirs.
+    cases = [(d, n, p) for p in (5, 7) for n in (8, 9) for d in range(2, n - 1)]
+    expected = {case: check_equivariant_smoothness(*case) for case in cases}
+    monkeypatch.setattr(certificate, "_ROW_MEMO_MAX", 200)
+    certificate._row_memo.clear()
+    errors = []
+
+    def work(seed):
+        order = random.Random(seed).sample(cases * 30, len(cases) * 30)
+        try:
+            for case in order:
+                assert check_equivariant_smoothness(*case) == expected[case], case
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.is_alive() for t in threads] == [False] * 6
+    assert errors == []
+    assert certificate._row_memo_size == _memo_count() <= 200  # no update was lost
+    certificate._row_memo.clear()
 
 
 def test_the_memo_is_bounded_and_a_clear_keeps_the_bytes(monkeypatch):
@@ -517,16 +706,19 @@ def test_the_memo_is_bounded_and_a_clear_keeps_the_bytes(monkeypatch):
     sizes = []
 
     def observing(mu, p):
-        sizes.append(len(certificate._row_memo))
+        sizes.append(sum(1 for _ in _kept_rows()))
         return andersen_h1(mu, p)
 
     monkeypatch.setattr(certificate, "andersen_h1", observing)
     d, n = DENSE_LISTING_MAX, DENSE_LISTING_MAX + 2
     primes = (5, 7)
-    first = [json.dumps(check_equivariant_smoothness(d, n, p).to_json()) for p in primes]
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo was emptied
+    first = []
+    for p in primes:
+        first.append(json.dumps(check_equivariant_smoothness(d, n, p).to_json()))
+        assert certificate._row_memo == {}  # the table alone passes the cap: not kept
     again = [json.dumps(check_equivariant_smoothness(d, n, p).to_json()) for p in primes]
     assert again == first
+    assert len(sizes) == 4 * (d * d - d + 1)  # every row decided again
     assert max(sizes) <= cap // (1 + n)
     assert _memo_count() <= cap
 
@@ -549,7 +741,7 @@ def test_the_memo_fill_order_never_changes_a_byte():
             assert dynkin_labels(row.weight) == dynkin_labels(fresh)
             assert row.h1 == andersen_h1(fresh, p)
     # Each kept row is the row its key names, with every check passed again.
-    for (_, datum, p, i, j), row in certificate._row_memo.items():
+    for datum, p, i, j, row in _kept_rows():
         mu = _end_weight(datum.rank, p, i, j) if i else datum.zero()
         assert row == classify_weight(mu, p)
 
@@ -572,7 +764,8 @@ def test_the_memo_count_stays_under_its_cap_and_a_clear_keeps_the_bytes(monkeypa
         first.append(json.dumps(check_equivariant_smoothness(*case).to_json()))
         counts.append(certificate._row_memo_size)
         assert counts[-1] == _memo_count()
-    assert any(b < a for a, b in zip(counts, counts[1:]))  # the memo was emptied
+    # The tenth prime's table pushed out the least recently used, the first's.
+    assert [key[2] for key in certificate._row_memo] == [7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert max(counts) <= certificate._ROW_MEMO_MAX
     certificate._row_memo.clear()
     assert [json.dumps(check_equivariant_smoothness(*case).to_json()) for case in cases] == first
@@ -591,7 +784,7 @@ def test_a_substituted_labels_function_never_fills_the_memo(monkeypatch):
     monkeypatch.undo()
     cert = check_equivariant_smoothness(4, 8, 7)
     assert cert.final_verdict == VERDICT_NO_LIFT
-    assert len(certificate._row_memo) == 4 * 4 - 4 + 1
+    assert sum(1 for _ in _kept_rows()) == 4 * 4 - 4 + 1
     for row in cert.rows:
         fresh = Weight(row.weight.coords, row.weight.datum)
         assert dynkin_labels(row.weight) == dynkin_labels(fresh)

@@ -254,12 +254,21 @@ def test_ring_exponent_must_be_an_int(n):
     [
         (("prime", 4), NotPrimeError, "ring characteristic 4 is not prime"),
         (("prime",), NotPrimeError, "ring characteristic None is not prime"),
-        (("prime_power", 4, 2), NotPrimeError, "4 is not prime"),
+        (("prime_power", 4, 2), NotPrimeError, "prime_power ring prime p = 4 is not prime"),
+        (("prime_power", None, 2), NotPrimeError, "prime_power ring prime p = None is not prime"),
         (("prime_power", 5), DomainError, "prime_power exponent must be an integer, got None"),
         (("prime_power", 5, 1), DomainError, "prime_power needs exponent >= 2, got 1"),
         (("p", 5), DomainError, "ring kind must be zero, prime or prime_power, got 'p'"),
     ],
-    ids=["prime-4", "prime-None", "prime_power-4", "exponent-None", "exponent-1", "kind-p"],
+    ids=[
+        "prime-4",
+        "prime-None",
+        "prime_power-4",
+        "prime_power-None",
+        "exponent-None",
+        "exponent-1",
+        "kind-p",
+    ],
 )
 def test_the_ring_constructor_checks_what_its_classmethods_check(args, error, message):
     # An unchecked RingChar("prime", 4) would pass the Frobenius data
