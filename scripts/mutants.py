@@ -5,14 +5,21 @@ Each row of ``MUTANTS`` removes or weakens one runtime check of the
 certificate path by replacing an exact source snippet.  For each row the
 script copies the tree to a temporary directory, applies the row there
 and runs the tier-1 suite with ``-x``.  A mutant is killed when a test
-fails; one that passes the whole suite survives, and the script exits 1
-naming it.  The unmutated copy must pass first, so a failing suite does
-not read as killed mutants.  Standard library only; the suite itself
-needs pytest and hypothesis.
+fails, and the script prints the first failing test; one that passes the
+whole suite survives, and the script exits 1 naming it.  The unmutated
+copy must pass first, so a failing suite does not read as killed
+mutants.  Standard library only; the suite itself needs pytest and
+hypothesis.
+
+In a mutant copy the suite runs without ``SNIPPET_TEST``, which counts
+each row's snippet in the copy's own source and so fails wherever a row
+has been applied: a mutant must be killed by a test of behaviour.
 
 A refactor that moves a check updates its row, as it would any test.
 ``EQUIVALENT`` lists mutants that cannot be killed, each with its
-reason; they are not run.
+reason.  They run as controls that must survive: a killed control means
+that its reason is wrong, or that a test fails for a reason other than
+behaviour, and the script exits 1.
 
 Example (from the root of a checkout; about three minutes on 2 vCPUs):
     python scripts/mutants.py
@@ -28,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "charpflag"
+SNIPPET_TEST = "tests/test_scripts.py::test_every_mutant_snippet_occurs_once_in_src"
 
 # (name, module, exact snippet, replacement, the check it removes)
 MUTANTS = (
@@ -62,16 +70,30 @@ MUTANTS = (
     (
         "rigidity-mod-p-squared",
         "certificate.py",
-        'rig_p2 = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.prime_power(p, 2))',
-        "rig_p2 = RigidityVerdict(lift_possible=False)",
+        "frobenius_rigidity_verdict(gl, RingChar.prime_power(p, 2)),",
+        "RigidityVerdict(lift_possible=False),",
         "the Frobenius rigidity verdict over length-two Witt vectors",
     ),
     (
         "rigidity-char-zero",
         "certificate.py",
-        'rig_zero = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.zero(), p=p)',
-        "rig_zero = RigidityVerdict(lift_possible=False)",
+        "frobenius_rigidity_verdict(gl, RingChar.zero(), p=p),",
+        "RigidityVerdict(lift_possible=False),",
         "the Frobenius rigidity verdict over characteristic zero",
+    ),
+    (
+        "rigidity-memo-key",
+        "certificate.py",
+        "key = (frobenius_rigidity_verdict, d, p)",
+        "key = (None, d, p)",
+        "a substituted rigidity procedure is not answered from another's verdicts",
+    ),
+    (
+        "rigidity-memo-bound",
+        "certificate.py",
+        "if len(_rigidity_memo) >= _RIGIDITY_MEMO_MAX:",
+        "if False:",
+        "the rigidity memo is emptied when it reaches its bound",
     ),
     (
         "p-at-least-5",
@@ -323,18 +345,17 @@ def apply(tree: Path, module: str, snippet: str, replacement: str) -> None:
     path.write_text(mutated)
 
 
-def run_suite(tree: Path) -> tuple[int, float]:
-    """Tier-1 on ``tree`` with ``-x``: (pytest's exit status, seconds)."""
+def run_suite(tree: Path, *deselect: str) -> tuple[int, float, str]:
+    """Tier-1 on ``tree`` with ``-x``: (pytest's exit status, seconds, first failing test)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider"]
+    command += [f"--deselect={node}" for node in deselect]
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-        cwd=tree,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
     )
-    return proc.returncode, time.perf_counter() - start
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    return proc.returncode, time.perf_counter() - start, failed[0] if failed else "?"
 
 
 def copy_tree(scratch: Path) -> Path:
@@ -349,33 +370,47 @@ def copy_tree(scratch: Path) -> Path:
     return tree
 
 
+def run_mutant(scratch: Path, module: str, snippet: str, replacement: str):
+    """``run_suite`` on a copy of the tree with one row applied."""
+    tree = copy_tree(scratch)
+    apply(tree, module, snippet, replacement)
+    try:
+        return run_suite(tree, SNIPPET_TEST)
+    finally:
+        shutil.rmtree(tree.parent)
+
+
 def main() -> int:
-    survivors = []
+    survivors, killed_controls = [], []
     with tempfile.TemporaryDirectory(prefix="charpflag-mutants-") as scratch:
-        status, seconds = run_suite(copy_tree(Path(scratch)))
+        status, seconds, _ = run_suite(copy_tree(Path(scratch)))
         if status != 0:
             print(f"error: the unmutated suite exits {status}", file=sys.stderr)
             return 2
         print(f"unmutated   ok       {seconds:5.1f} s")
-        for name, module, snippet, replacement, check in MUTANTS:
-            tree = copy_tree(Path(scratch))
-            apply(tree, module, snippet, replacement)
-            status, seconds = run_suite(tree)
-            shutil.rmtree(tree.parent)
-            if status == 1:
-                print(f"killed      {name:24} {seconds:5.1f} s  {check}")
-            elif status == 0:
-                print(f"SURVIVED    {name:24} {seconds:5.1f} s  {check}")
-                survivors.append(name)
-            else:
-                print(f"error: pytest exits {status} on mutant {name}", file=sys.stderr)
-                return 2
-    for name, _, _, _, reason in EQUIVALENT:
-        print(f"equivalent  {name:24} not run: {reason}")
+        for rows, control in ((MUTANTS, False), (EQUIVALENT, True)):
+            for name, module, snippet, replacement, why in rows:
+                status, seconds, failed = run_mutant(Path(scratch), module, snippet, replacement)
+                if status not in (0, 1):
+                    print(f"error: pytest exits {status} on mutant {name}", file=sys.stderr)
+                    return 2
+                killed = status == 1
+                if killed == control:  # a surviving mutant or a killed control
+                    (killed_controls if control else survivors).append(name)
+                if control:
+                    label = "KILLED" if killed else "equivalent"
+                else:
+                    label = "killed" if killed else "SURVIVED"
+                print(f"{label:11} {name:24} {seconds:5.1f} s  {why}")
+                if killed:
+                    print(f"{'':11} by {failed}")
+    if killed_controls:
+        print(f"{len(killed_controls)} equivalent control(s) killed: {', '.join(killed_controls)}")
     if survivors:
         print(f"{len(survivors)} mutant(s) survived tier-1: {', '.join(survivors)}")
+    if survivors or killed_controls:
         return 1
-    print(f"all {len(MUTANTS)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed; {len(EQUIVALENT)} equivalent control(s) survived")
     return 0
 
 

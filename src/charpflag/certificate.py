@@ -72,6 +72,12 @@ _row_memo: dict = {}
 _row_memo_size = 0
 _row_lock = allocate_lock()  # threading.Lock, without importing threading
 
+# Both rigidity verdicts of GL_d at p, per (frobenius_rigidity_verdict, d, p);
+# emptied when it reaches _RIGIDITY_MEMO_MAX entries.  It needs no lock: two
+# threads that race on one key decide the same pair twice.
+_RIGIDITY_MEMO_MAX = 1 << 10
+_rigidity_memo: dict = {}
+
 
 class CaseRow(_Value):
     """One End-bundle weight with its case tag and H^1 classification.
@@ -133,6 +139,17 @@ class ConditionCheck(_Value):
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "detail": self.detail}
+
+
+# Condition (iii) holds for every reductive group: one check serves every certificate.
+_CONDITION_III = ConditionCheck(
+    holds=True,
+    detail=(
+        "H^1(G, k) = 0 holds for every reductive group, in particular GL_N; "
+        "the two-condition summary form of the smoothness criterion omits this "
+        "hypothesis, so it is recorded explicitly here"
+    ),
+)
 
 
 class Certificate(_Value):
@@ -372,28 +389,19 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
         detail=f"H^1(X, End) aggregates to '{aggregate.value}' over the line-bundle filtration",
     )
 
-    cond_iii = ConditionCheck(
-        holds=True,
-        detail=(
-            "H^1(G, k) = 0 holds for every reductive group, in particular GL_N; "
-            "the two-condition summary form of the smoothness criterion omits this "
-            "hypothesis, so it is recorded explicitly here"
-        ),
-    )
-
-    rig_p2 = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.prime_power(p, 2))
-    rig_zero = frobenius_rigidity_verdict(make_datum("GL", d), RingChar.zero(), p=p)
-    return Certificate(
-        d=d,
-        N=n,
-        p=p,
-        rows=rows,
-        condition_i=cond_i,
-        condition_ii=cond_ii,
-        condition_iii=cond_iii,
-        rigidity_mod_p_squared=rig_p2,
-        rigidity_char_zero=rig_zero,
-    )
+    # Keyed by the procedure too, so a substituted one decides for itself.
+    key = (frobenius_rigidity_verdict, d, p)
+    verdicts = _rigidity_memo.get(key)
+    if verdicts is None:
+        gl = make_datum("GL", d)
+        verdicts = (
+            frobenius_rigidity_verdict(gl, RingChar.prime_power(p, 2)),
+            frobenius_rigidity_verdict(gl, RingChar.zero(), p=p),
+        )
+        if len(_rigidity_memo) >= _RIGIDITY_MEMO_MAX:
+            _rigidity_memo.clear()
+        _rigidity_memo[key] = verdicts
+    return Certificate(d, n, p, rows, cond_i, cond_ii, _CONDITION_III, *verdicts)
 
 
 def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:

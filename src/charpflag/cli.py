@@ -126,7 +126,7 @@ def _batch_words(line: str) -> list[str]:
 def _gl_weight(args) -> Weight:
     """The ``--weight`` of h1/bwb0 as a weight of GL(--N)."""
     try:
-        coords = tuple(int(part) for part in args.weight.split(","))
+        coords = tuple(map(int, args.weight.split(",")))
     except ValueError:
         raise UsageError(
             f"malformed weight vector {args.weight!r}; expected comma-separated integers"
@@ -182,70 +182,74 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (inputs, result, text_lines, exit_code)
+# Subcommand handlers: each returns (exit_code, output) and builds only the
+# output that is printed: the envelope's (inputs, result) with --json, else
+# the text lines.
 
 
-def _cmd_roots(args) -> tuple[dict, dict, list[str], int]:
+def _cmd_roots(args) -> tuple[int, object]:
     if args.n > DENSE_LISTING_MAX:
         raise UsageError(f"roots --n {args.n} exceeds the bound {DENSE_LISTING_MAX}")
     datum = make_datum(args.type, args.n)
     order = weyl_group_order(datum)
-    result = {
-        "datum": datum.to_json(),
-        "name": datum.name,
-        "rank": datum.rank,
-        "root_count": len(datum.roots),
-        "roots": [r.vector.to_json() for r in datum.roots],
-        "coroots": [list(r.coroot) for r in datum.roots],
-        "simple_roots": [r.vector.to_json() for r in datum.simple_roots],
-        "weyl_vector": None if datum.weyl_vector is None else datum.weyl_vector.to_json(),
-        "weyl_group_order": order,
-    }
-    text = [
+    weyl = datum.weyl_vector
+    if args.json:
+        result = {
+            "datum": datum.to_json(),
+            "name": datum.name,
+            "rank": datum.rank,
+            "root_count": len(datum.roots),
+            "roots": [r.vector.to_json() for r in datum.roots],
+            "coroots": [list(r.coroot) for r in datum.roots],
+            "simple_roots": [r.vector.to_json() for r in datum.simple_roots],
+            "weyl_vector": None if weyl is None else weyl.to_json(),
+            "weyl_group_order": order,
+        }
+        return EXIT_OK, ({"type": args.type, "n": args.n}, result)
+    return EXIT_OK, [
         f"datum: {datum.name}  (rank {datum.rank}, {len(datum.roots)} roots)",
         "simple roots: " + " ".join(str(r.vector.coords) for r in datum.simple_roots),
-        f"weyl vector: {None if datum.weyl_vector is None else datum.weyl_vector.coords}",
+        f"weyl vector: {None if weyl is None else weyl.coords}",
         f"weyl group order: {order}",
     ]
-    return {"type": args.type, "n": args.n}, result, text, EXIT_OK
 
 
-def _cmd_h1(args) -> tuple[dict, dict, list[str], int]:
+def _cmd_h1(args) -> tuple[int, object]:
     mu = _gl_weight(args)
     n = mu.datum.rank
     status = andersen_h1(mu, args.p)
     code = EXIT_INCONCLUSIVE if status.status == "undetermined" else EXIT_OK
+    if args.json:
+        return code, ({"weight": mu.to_json(), "N": n, "p": args.p}, status.to_json())
     text = [f"weight: {mu.coords}  datum GL({n})  p = {args.p}", f"H1 status: {status.status}"]
     if status.highest_weight is not None:
         text.append(f"largest weight: {status.highest_weight.coords}")
     if status.reason:
         text.append(f"reason: {status.reason}")
-    return (
-        {"weight": mu.to_json(), "N": n, "p": args.p},
-        status.to_json(),
-        text,
-        code,
-    )
+    return code, text
 
 
-def _cmd_bwb0(args) -> tuple[dict, dict, list[str], int]:
+def _cmd_bwb0(args) -> tuple[int, object]:
     lam = _gl_weight(args)
     n = lam.datum.rank
     status = bwb_char0(lam)
+    if args.json:
+        return EXIT_OK, ({"weight": lam.to_json(), "N": n}, status.to_json())
     if status.all_zero:
-        text = [f"weight: {lam.coords}  datum GL({n})", "all cohomology vanishes (singular)"]
+        found = "all cohomology vanishes (singular)"
     else:
-        text = [
-            f"weight: {lam.coords}  datum GL({n})",
-            f"cohomology in degree {status.degree}, "
-            f"highest weight {status.highest_weight.coords}",
-        ]
-    return {"weight": lam.to_json(), "N": n}, status.to_json(), text, EXIT_OK
+        top = status.highest_weight.coords
+        found = f"cohomology in degree {status.degree}, highest weight {top}"
+    return EXIT_OK, [f"weight: {lam.coords}  datum GL({n})", found]
 
 
-def _cmd_grassmann_check(args) -> tuple[dict, dict, list[str], int]:
+def _cmd_grassmann_check(args) -> tuple[int, object]:
     cert = check_equivariant_smoothness(args.d, args.N, args.p)
-    code = EXIT_OK if cert.final_verdict == VERDICT_NO_LIFT else EXIT_INCONCLUSIVE
+    if args.json:
+        result = cert.to_json()
+        code = EXIT_OK if result["verdict"] == VERDICT_NO_LIFT else EXIT_INCONCLUSIVE
+        return code, ({"d": args.d, "N": args.N, "p": args.p}, result)
+    verdict = cert.final_verdict
     counts: dict[str, int] = {}
     for row in cert.rows:
         counts[row.case_tag] = counts.get(row.case_tag, 0) + 1
@@ -258,14 +262,9 @@ def _cmd_grassmann_check(args) -> tuple[dict, dict, list[str], int]:
         f"Frobenius rigidity: mod p^2 "
         f"{'no lift' if not cert.rigidity_mod_p_squared.lift_possible else 'lift possible'}, "
         f"char 0 {'no lift' if not cert.rigidity_char_zero.lift_possible else 'lift possible'}",
-        f"verdict: {cert.final_verdict}",
+        f"verdict: {verdict}",
     ]
-    return (
-        {"d": args.d, "N": args.N, "p": args.p},
-        cert.to_json(),
-        text,
-        code,
-    )
+    return EXIT_OK if verdict == VERDICT_NO_LIFT else EXIT_INCONCLUSIVE, text
 
 
 def _load_datum_spec(spec: dict, role: str) -> RootDatum:
@@ -317,7 +316,7 @@ def _d_map_indices(d_spec, n_source: int, n_target: int) -> list[int]:
     return d_spec
 
 
-def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
+def _cmd_isogeny_check(args) -> tuple[int, object]:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -368,6 +367,8 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
         raise UsageError(f"invalid morphism data in {args.file}: {exc}") from None
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed morphism description in {args.file}: {exc}") from None
+    if args.json:
+        return EXIT_OK, ({"file": args.file}, verdict.to_json())
     text = [
         f"morphism {source.name} -> {target.name} over {ring_char.describe()}:"
         f" {'valid' if verdict.valid else 'INVALID'}"
@@ -375,13 +376,16 @@ def _cmd_isogeny_check(args) -> tuple[dict, dict, list[str], int]:
     text += [
         f"  [{f.relation}] root {f.root.vector.coords}: {f.detail}" for f in verdict.failures
     ]
-    return {"file": args.file}, verdict.to_json(), text, EXIT_OK
+    return EXIT_OK, text
 
 
-def _cmd_rigidity(args) -> tuple[dict, dict, list[str], int]:
+def _cmd_rigidity(args) -> tuple[int, object]:
     datum = make_datum(args.type, args.n)
     ring_char = _parse_ring_spec(args.ring, args.p)
     verdict = frobenius_rigidity_verdict(datum, ring_char, p=args.p)
+    if args.json:
+        inputs = {"type": args.type, "n": args.n, "ring": args.ring, "p": args.p}
+        return EXIT_OK, (inputs, verdict.to_json())
     text = [
         f"Frobenius of {datum.name} over {ring_char.describe()}: "
         f"{'lift possible' if verdict.lift_possible else 'no lift'}"
@@ -390,12 +394,7 @@ def _cmd_rigidity(args) -> tuple[dict, dict, list[str], int]:
         text.append(f"reason: {verdict.reason}")
     if verdict.note:
         text.append(f"note: {verdict.note}")
-    return (
-        {"type": args.type, "n": args.n, "ring": args.ring, "p": args.p},
-        verdict.to_json(),
-        text,
-        EXIT_OK,
-    )
+    return EXIT_OK, text
 
 
 _HANDLERS = {
@@ -491,8 +490,9 @@ def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
 
 def _run_single(parser: _Parser, argv: Sequence[str], compact_json: bool) -> int:
     args = _parse_args(parser, argv)
-    inputs, result, text, code = _HANDLERS[args.command](args)
+    code, output = _HANDLERS[args.command](args)
     if args.json:
+        inputs, result = output
         envelope = {
             "command": args.command,
             "inputs": inputs,
@@ -504,8 +504,7 @@ def _run_single(parser: _Parser, argv: Sequence[str], compact_json: bool) -> int
         else:
             print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
-        for line in text:
-            print(line)
+        print(*output, sep="\n")
     return code
 
 

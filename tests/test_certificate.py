@@ -40,8 +40,10 @@ from charpflag.certificate import (
     CASE_LOWER_FAR,
     CASE_UPPER_FAR,
     CaseRow,
+    Certificate,
     ConditionCheck,
 )
+from charpflag.rootmorph import RingChar, frobenius_rigidity_verdict
 
 from conftest import rebuilt
 
@@ -415,6 +417,82 @@ def test_nonzero_highest_weight_rows_never_certify():
     )
     cert = certificate_from_rows(2, 6, 5, list(base.rows) + [bad])
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
+
+
+def test_the_soundness_guard_overrules_conditions_that_hold():
+    # Built directly: every condition holds and rigidity rules out a lift,
+    # yet one row is undetermined, so the verdict is still inconclusive.
+    base = check_equivariant_smoothness(2, 6, 5)
+    held = ConditionCheck(holds=True, detail="held")
+    row = _undetermined_row(make_datum("GL", 6).weight((0, 2, 0, 0, 0, 0)))
+    cert = Certificate(
+        d=2,
+        N=6,
+        p=5,
+        rows=base.rows + (row,),
+        condition_i=held,
+        condition_ii=held,
+        condition_iii=held,
+        rigidity_mod_p_squared=base.rigidity_mod_p_squared,
+        rigidity_char_zero=base.rigidity_char_zero,
+    )
+    assert cert.rigidity_no_lift
+    assert rebuilt(cert, rows=base.rows).final_verdict == VERDICT_NO_LIFT
+    assert cert.final_verdict == VERDICT_INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# The rigidity verdicts: decided once per process and per (procedure, d, p).
+
+_RIGIDITY_CASES = [(2, 4, 5), (2, 9, 5), (3, 7, 7), (5, 8, 11), (6, 10, 23), (12, 14, 13)]
+
+
+def test_a_certificates_rigidity_verdicts_are_fresh_verdicts():
+    for d, n, p in _RIGIDITY_CASES * 2:  # cold, then from the memo
+        gl = make_datum("GL", d)
+        expected = (
+            frobenius_rigidity_verdict(gl, RingChar.prime_power(p, 2)),
+            frobenius_rigidity_verdict(gl, RingChar.zero(), p=p),
+        )
+        for cert in (
+            check_equivariant_smoothness(d, n, p),
+            certificate_from_rows(d, n, p, ()),
+        ):
+            assert (cert.rigidity_mod_p_squared, cert.rigidity_char_zero) == expected
+            rigidity = cert.to_json()["rigidity"]
+            assert rigidity["mod_p_squared"] == expected[0].to_json()
+            assert rigidity["char_zero"] == expected[1].to_json()
+
+
+def test_a_substituted_rigidity_procedure_is_not_answered_from_the_memo(monkeypatch):
+    warm = check_equivariant_smoothness(3, 7, 5)
+    assert warm.final_verdict == VERDICT_NO_LIFT
+    calls = []
+
+    def substituted(datum, ring_char, p=None):
+        calls.append((datum.name, ring_char.kind))
+        return RigidityVerdict(lift_possible=True)
+
+    monkeypatch.setattr(certificate, "frobenius_rigidity_verdict", substituted)
+    for _ in range(2):  # the second certificate takes the substitute's verdicts
+        cert = check_equivariant_smoothness(3, 7, 5)
+        assert cert.rigidity_mod_p_squared == RigidityVerdict(lift_possible=True)
+        assert cert.final_verdict == VERDICT_INCONCLUSIVE
+    assert calls == [("GL(3)", "prime_power"), ("GL(3)", "zero")]
+    monkeypatch.undo()
+    assert check_equivariant_smoothness(3, 7, 5) == warm
+
+
+def test_the_rigidity_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(certificate, "_RIGIDITY_MEMO_MAX", 3)
+    certificate._rigidity_memo.clear()
+    for d, n, p in _RIGIDITY_CASES:
+        cert = check_equivariant_smoothness(d, n, p)
+        assert 1 <= len(certificate._rigidity_memo) <= 3
+        assert certificate._rigidity_memo[(frobenius_rigidity_verdict, d, p)] == (
+            cert.rigidity_mod_p_squared,
+            cert.rigidity_char_zero,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,69 @@ def test_json_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+_ISOGENY_P2 = {  # the Frobenius data of GL(2) over Witt vectors of length two
+    "source": {"type": "GL", "n": 2},
+    "target": {"type": "GL", "n": 2},
+    "h": [[5, 0], [0, 5]],
+    "q": 5,
+    "ring_char": {"kind": "prime_power", "p": 5, "n": 2},
+}
+_P2 = "characteristic 5^2 (p nonzero, nilpotent)"
+# Text-mode stdout of one query per subcommand, byte for byte: a handler
+# renders only the form that is printed, and these are its bytes.
+_TEXT_PINS = [
+    (
+        "roots --type Sp --n 2",
+        "datum: Sp(4)  (rank 2, 8 roots)\n"
+        "simple roots: (1, -1) (0, 2)\n"
+        "weyl vector: (2, 1)\n"
+        "weyl group order: 8\n",
+    ),
+    (
+        "h1 --weight -5,5,0 --p 5",
+        "weight: (-5, 5, 0)  datum GL(3)  p = 5\n"
+        "H1 status: nonzero\n"
+        "largest weight: (0, 0, 0)\n",
+    ),
+    (
+        "bwb0 --weight 1,3,0",
+        "weight: (1, 3, 0)  datum GL(3)\ncohomology in degree 1, highest weight (2, 2, 0)\n",
+    ),
+    (
+        "grassmann-check --d 3 --N 6 --p 5",
+        "P(F*S) on Gr(3, 6) at p = 5\n"
+        "rows: adjacent x2, diagonal x3, lower_far x1, upper_far x3\n"
+        "condition i  (H^2(G, H^0) = 0):        holds\n"
+        "condition ii (H^1 trivial G-module):   holds\n"
+        "condition iii (H^1(G, k) = 0):         holds\n"
+        "Frobenius rigidity: mod p^2 no lift, char 0 no lift\n"
+        "verdict: no_lift_where_p_nonzero\n",
+    ),
+    (
+        "isogeny-check --file {file}",
+        f"morphism GL(2) -> GL(2) over {_P2}: INVALID\n"
+        f"  [q_admissible] root (1, -1): x -> x^5 is not an additive endomorphism "
+        f"over a ring of {_P2}\n"
+        f"  [q_admissible] root (-1, 1): x -> x^5 is not an additive endomorphism "
+        f"over a ring of {_P2}\n",
+    ),
+    (
+        "rigidity --type GL --n 3 --ring p^2 --p 5",
+        f"Frobenius of GL(3) over {_P2}: no lift\n"
+        "reason: forced Frobenius data (h = 5*id, d = id, q == 5) is inadmissible over "
+        f"a base of {_P2}: x -> x^5 is additive only where 5 = 0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _TEXT_PINS, ids=[a.split()[0] for a, _ in _TEXT_PINS])
+def test_text_output_bytes_are_pinned(capsys, tmp_path, argv, expected):
+    path = tmp_path / "frobenius.json"
+    path.write_text(json.dumps(_ISOGENY_P2))
+    code, out, err = run_cli(capsys, *argv.format(file=path).split())
+    assert (code, out, err) == (0, expected, "")
+
+
 # ---------------------------------------------------------------------------
 # h1 / bwb0
 
