@@ -49,7 +49,7 @@ MUTANTS = (
     (
         "condition-i",
         "certificate.py",
-        "holds=not dominant_off,",
+        "holds=False,",
         "holds=True,",
         "condition (i): no off-diagonal End weight is dominant",
     ),
@@ -59,6 +59,27 @@ MUTANTS = (
         "holds=aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE),",
         "holds=True,",
         "condition (ii): H^1(X, End) aggregates to zero or a trivial module",
+    ),
+    (
+        "fast-path-fallback",
+        "certificate.py",
+        "if unexpected <= d:",
+        "if False:",
+        "a certificate with an unexpected dominance fact in its corner scans its rows",
+    ),
+    (
+        "table-kind-2",
+        "certificate.py",
+        "if kind and corner < corners[kind]:",
+        "if kind == 1 and corner < corners[kind]:",
+        "a row table notes its least corner with a nonzero or undetermined H^1",
+    ),
+    (
+        "h1-kind-trivial",
+        "cohomology.py",
+        'trivial = status == "nonzero" and highest_weight is not None and highest_weight.is_zero()',
+        'trivial = status == "nonzero"',
+        "only a nonzero H^1 with largest weight zero is a trivial module",
     ),
     (
         "condition-iii",

@@ -35,6 +35,7 @@ from .bundles import (
     tautological_weights,
 )
 from .cohomology import (
+    _AGGREGATES,
     FiltrationH1,
     H1Status,
     aggregate_h1_statuses,
@@ -63,9 +64,8 @@ STANDING_ASSUMPTIONS = ("grassmannian_rigid", "h2_structure_sheaf_vanishes")
 VERDICT_NO_LIFT = "no_lift_where_p_nonzero"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# The finished rows: one table per (andersen_h1, datum, p), least recently
-# used first, mapping i * 256 + j to the row of p(l_i - l_j) and 0 to the
-# diagonal row; and the memo's counted size.  See
+# The finished rows: one _RowTable per (andersen_h1, datum, p), least
+# recently used first; and the memo's counted size.  See
 # ``check_equivariant_smoothness`` and ``_fill``.
 _ROW_MEMO_MAX = 1 << 16
 _row_memo: dict = {}
@@ -77,6 +77,33 @@ _row_lock = allocate_lock()  # threading.Lock, without importing threading
 # threads that race on one key decide the same pair twice.
 _RIGIDITY_MEMO_MAX = 1 << 10
 _rigidity_memo: dict = {}
+
+
+class _RowTable(dict):
+    """Finished rows, keyed i * 256 + j for p(l_i - l_j) and 0 for the diagonal.
+
+    ``corners`` holds the least corner max(i, j) of a row stored through
+    ``keep`` with each of three properties, or 256, past every corner:
+    [0] an unexpected dominance fact (not None at key 0, not False
+    elsewhere), [1] an H^1 of kind 1 (a trivial module), [2] one of kind
+    2.  The rows of Gr(d, N) are those of corner at most d.
+    """
+
+    __slots__ = ("corners",)
+
+    def __init__(self):
+        self.corners = [256] * 3
+
+    def keep(self, index: int, row: CaseRow) -> None:
+        self[index] = row
+        corners = self.corners
+        corner = max(divmod(index, 256))
+        fact = row._dominant
+        if (fact is not False if index else fact is not None) and corner < corners[0]:
+            corners[0] = corner
+        kind = row.h1._kind
+        if kind and corner < corners[kind]:
+            corners[kind] = corner
 
 
 class CaseRow(_Value):
@@ -150,6 +177,26 @@ _CONDITION_III = ConditionCheck(
         "hypothesis, so it is recorded explicitly here"
     ),
 )
+
+# Condition (ii), one check per aggregate.
+_CONDITION_II = {
+    aggregate: ConditionCheck(
+        holds=aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE),
+        detail=f"H^1(X, End) aggregates to '{aggregate.value}' over the line-bundle filtration",
+    )
+    for aggregate in FiltrationH1
+}
+
+
+@lru_cache(maxsize=DENSE_LISTING_MAX)  # d^2 - d for every d a certificate takes
+def _non_dominant(off_diagonal: int) -> ConditionCheck:
+    """Condition (i) when none of ``off_diagonal`` End weights is dominant."""
+    return ConditionCheck(
+        holds=True,
+        detail=f"all {off_diagonal} off-diagonal End weights are non-dominant, so "
+        "H^0(X, End) is filtered by trivial modules and H^2(G, -) of a trivial "
+        "module vanishes for reductive G",
+    )
 
 
 class Certificate(_Value):
@@ -313,7 +360,7 @@ def _row_order(d: int) -> tuple[tuple[int, ...], itemgetter]:
     return tuple(keys), itemgetter(*keys)
 
 
-def _fill(key: tuple, table: dict, keys: tuple[int, ...]) -> None:
+def _fill(key: tuple, table: _RowTable, keys: tuple[int, ...]) -> None:
     """Classify the rows of ``keys`` missing from ``table`` and keep the table.
 
     Each row is stored only once ``classify_weight`` has returned it, so a
@@ -334,7 +381,7 @@ def _fill(key: tuple, table: dict, keys: tuple[int, ...]) -> None:
         for index in keys:
             if index not in table:
                 i, j = divmod(index, 256)
-                table[index] = classify_weight(_end_weight(datum, p, i, j), p)
+                table.keep(index, classify_weight(_end_weight(datum, p, i, j), p))
     finally:
         count = len(table) * cost
         if not count or count > _ROW_MEMO_MAX:  # empty, or alone past the cap
@@ -369,26 +416,22 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
 
     # Each row carries its weight's dominance, None on the diagonal.
     facts = list(map(_row_dominant, rows))
-    off_diagonal = len(facts) - facts.count(None)
     dominant_off = [row.weight for row in compress(rows, facts)]
-    cond_i = ConditionCheck(
-        holds=not dominant_off,
-        detail=(
-            f"all {off_diagonal} off-diagonal End weights are non-dominant, so "
-            "H^0(X, End) is filtered by trivial modules and H^2(G, -) of a trivial "
-            "module vanishes for reductive G"
-            if not dominant_off
-            else f"dominant off-diagonal weights {sorted(w.coords for w in dominant_off)} "
-            "contribute unknown H^0 summands"
-        ),
+    cond_i = (
+        ConditionCheck(
+            holds=False,
+            detail=f"dominant off-diagonal weights {sorted(w.coords for w in dominant_off)} "
+            "contribute unknown H^0 summands",
+        )
+        if dominant_off
+        else _non_dominant(len(facts) - facts.count(None))
     )
+    cond_ii = _CONDITION_II[aggregate_h1_statuses(map(_row_h1, rows))]
+    return Certificate(d, n, p, rows, cond_i, cond_ii, _CONDITION_III, *_rigidity_verdicts(d, p))
 
-    aggregate = aggregate_h1_statuses(map(_row_h1, rows))
-    cond_ii = ConditionCheck(
-        holds=aggregate in (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE),
-        detail=f"H^1(X, End) aggregates to '{aggregate.value}' over the line-bundle filtration",
-    )
 
+def _rigidity_verdicts(d: int, p: int) -> tuple[RigidityVerdict, RigidityVerdict]:
+    """Both rigidity verdicts of GL_d at p, from ``_rigidity_memo``."""
     # Keyed by the procedure too, so a substituted one decides for itself.
     key = (frobenius_rigidity_verdict, d, p)
     verdicts = _rigidity_memo.get(key)
@@ -401,7 +444,7 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
         if len(_rigidity_memo) >= _RIGIDITY_MEMO_MAX:
             _rigidity_memo.clear()
         _rigidity_memo[key] = verdicts
-    return Certificate(d, n, p, rows, cond_i, cond_ii, _CONDITION_III, *verdicts)
+    return verdicts
 
 
 def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
@@ -416,7 +459,10 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
     datum, p), and a later certificate that needs the row takes that very
     object; when all its rows are there, it takes them in one call.  The
     rows of Gr(d, N) are the d x d corner of those of Gr(d + 1, N), so a
-    sweep over d meets them again and again.
+    sweep over d meets them again and again.  A certificate whose corner
+    has no unexpected dominance fact reads conditions (i) and (ii) from
+    the table's ``corners``; any other scans its rows in
+    ``certificate_from_rows``.
     """
     _validate_parameters(d, n, p)
     datum = make_datum("GL", n)
@@ -426,7 +472,7 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
     # Keyed by the procedure too, so a substituted one decides for itself.
     key = (andersen_h1, datum, p)
     with _row_lock:  # one thread at a time reads and changes the memo
-        table = _row_memo.pop(key, None) or {}
+        table = _row_memo.pop(key, None) or _RowTable()
         try:
             rows = take(table)
         except KeyError:
@@ -434,4 +480,10 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
             rows = take(table)
         else:
             _row_memo[key] = table  # most recently used last
-    return certificate_from_rows(d, n, p, rows)
+        unexpected, trivial, unknown = table.corners
+    if unexpected <= d:  # a fact the constants do not stand for: scan the rows
+        return certificate_from_rows(d, n, p, rows)
+    cond_ii = _CONDITION_II[_AGGREGATES[2 if unknown <= d else 1 if trivial <= d else 0]]
+    return Certificate(
+        d, n, p, rows, _non_dominant(d * d - d), cond_ii, _CONDITION_III, *_rigidity_verdicts(d, p)
+    )

@@ -47,9 +47,15 @@ def _digits(m: int, p: int) -> list[int]:
 
 
 class H1Status(_Value):
-    """Verdict for H^1(G/B, L_mu): zero, nonzero with largest weight, or open."""
+    """Verdict for H^1(G/B, L_mu): zero, nonzero with largest weight, or open.
 
-    __slots__ = _fields = ("status", "highest_weight", "reason")
+    The constructor sets ``_kind``, which aggregation reads and which takes
+    no part in equality, hashing or ``repr``: 0 for zero, 1 for nonzero
+    with largest weight zero (a trivial module), 2 for anything else.
+    """
+
+    __slots__ = ("status", "highest_weight", "reason", "_kind")
+    _fields = ("status", "highest_weight", "reason")
 
     status: str  # "zero" | "nonzero" | "undetermined"
     highest_weight: Optional[Weight]
@@ -59,6 +65,8 @@ class H1Status(_Value):
         _set_status(self, status)
         _set_highest_weight(self, highest_weight)
         _set_reason(self, reason)
+        trivial = status == "nonzero" and highest_weight is not None and highest_weight.is_zero()
+        _set_kind(self, 0 if status == "zero" else 1 if trivial else 2)
 
     @classmethod
     def nonzero(cls, highest_weight: Weight) -> "H1Status":
@@ -79,7 +87,7 @@ class H1Status(_Value):
     @property
     def is_trivial_module(self) -> bool:
         """Nonzero with largest weight zero: a trivial G-module downstream."""
-        return self.status == "nonzero" and self.highest_weight.is_zero()
+        return self._kind == 1
 
     def to_json(self) -> dict:
         return {
@@ -94,6 +102,7 @@ class H1Status(_Value):
 _set_status = H1Status.status.__set__
 _set_highest_weight = H1Status.highest_weight.__set__
 _set_reason = H1Status.reason.__set__
+_set_kind = H1Status._kind.__set__
 _ZERO = H1Status("zero")
 
 
@@ -227,23 +236,19 @@ class FiltrationH1(str, Enum):
     UNKNOWN = "unknown"
 
 
+_AGGREGATES = (FiltrationH1.ZERO, FiltrationH1.TRIVIAL_MODULE, FiltrationH1.UNKNOWN)  # by kind
+
+
 def aggregate_h1_statuses(statuses: Iterable[H1Status]) -> FiltrationH1:
     """Combine per-quotient H^1 statuses of a line-bundle filtration.
 
     A bundle filtered by line bundles whose H^1 are each zero or trivial
     has H^1 zero or a trivial module; any undetermined status or nonzero
-    highest weight degrades the aggregate to unknown.
+    largest weight, or a nonzero status without one, degrades the
+    aggregate to unknown.  The aggregate is ``_AGGREGATES`` at the
+    largest ``_kind``.
     """
-    saw_trivial = False
-    for st in statuses:
-        status = st.status
-        if status == "zero":
-            continue
-        if status == "nonzero" and st.highest_weight.is_zero():  # a trivial module
-            saw_trivial = True
-            continue
-        return FiltrationH1.UNKNOWN
-    return FiltrationH1.TRIVIAL_MODULE if saw_trivial else FiltrationH1.ZERO
+    return _AGGREGATES[max((st._kind for st in statuses), default=0)]
 
 
 # ---------------------------------------------------------------------------

@@ -866,3 +866,109 @@ def test_a_substituted_labels_function_never_fills_the_memo(monkeypatch):
     for row in cert.rows:
         fresh = Weight(row.weight.coords, row.weight.datum)
         assert dynkin_labels(row.weight) == dynkin_labels(fresh)
+
+
+# ---------------------------------------------------------------------------
+# Conditions (i) and (ii) from the row table: a certificate whose corner
+# holds no unexpected dominance fact reads both from the table's corners;
+# it must be the certificate the scan in ``certificate_from_rows`` builds.
+
+_AGREEMENT_GRID = [(d, n, p) for p in (5, 7, 11) for n in range(4, 13) for d in range(2, n - 1)]
+
+
+def _assert_the_scan_agrees(cert):
+    scanned = certificate_from_rows(cert.d, cert.N, cert.p, cert.rows)
+    assert cert == scanned
+    assert json.dumps(cert.to_json()) == json.dumps(scanned.to_json())
+
+
+@pytest.fixture
+def counted_scans(monkeypatch):
+    """The (d, N, p) of each certificate that ``check_equivariant_smoothness`` scans."""
+    scans = []
+
+    def counting(d, n, p, rows):
+        scans.append((d, n, p))
+        return certificate_from_rows(d, n, p, rows)
+
+    monkeypatch.setattr(certificate, "certificate_from_rows", counting)
+    certificate._row_memo.clear()
+    yield scans
+    certificate._row_memo.clear()  # no injected row outlives the test
+
+
+def test_the_table_path_and_the_scan_agree(counted_scans):
+    cases = random.Random(20261020).sample(_AGREEMENT_GRID, len(_AGREEMENT_GRID))
+    for _ in range(2):  # in a shuffled order, then warm
+        for case in cases:
+            _assert_the_scan_agrees(check_equivariant_smoothness(*case))
+    assert counted_scans == []  # no genuine row holds an unexpected fact
+
+
+# (name, (i, j) of the row replaced, the replacement, whether its corner is scanned)
+_INJECTIONS = [
+    (
+        "dominant off-diagonal weight",
+        (5, 2),
+        lambda row, gl, p: rebuilt(row, weight=_end_weight(gl.rank, p, 1, gl.rank)),
+        True,
+    ),
+    (
+        "zero weight off the diagonal",
+        (2, 6),
+        lambda row, gl, p: rebuilt(row, weight=gl.zero()),
+        True,
+    ),
+    (
+        "dominance fact at the diagonal key",
+        (0, 0),
+        lambda row, gl, p: rebuilt(row, weight=_end_weight(gl.rank, p, 2, 1)),
+        True,
+    ),
+    (
+        "undetermined H^1",
+        (4, 1),
+        lambda row, gl, p: rebuilt(row, h1=H1Status.undetermined("injected")),
+        False,
+    ),
+    (
+        "nonzero largest weight",
+        (3, 5),
+        lambda row, gl, p: rebuilt(row, h1=H1Status.nonzero(gl.fundamental_character(1))),
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, ij, inject, scanned", _INJECTIONS, ids=[c[0] for c in _INJECTIONS])
+def test_an_injected_row_gives_the_certificate_the_scan_gives(
+    monkeypatch, counted_scans, name, ij, inject, scanned
+):
+    # Every certificate of Gr(d, 10) at p = 7, with the row at (i, j)
+    # replaced as its table is filled: those whose corner d holds it differ
+    # from the genuine certificate, the others do not and are never scanned.
+    n, p = 10, 7
+    gl = make_datum("GL", n)
+    i, j = ij
+    corner = max(ij)
+    target = _end_weight(n, p, i, j) if i else gl.zero()
+    expected = {d: check_equivariant_smoothness(d, n, p) for d in range(2, n - 1)}
+    certificate._row_memo.clear()
+
+    def injecting(mu, q):
+        row = classify_weight(mu, q)
+        return inject(row, gl, q) if mu == target else row
+
+    monkeypatch.setattr(certificate, "classify_weight", injecting)
+    sizes = random.Random(20261020).sample(range(2, n - 1), n - 3)
+    for _ in range(2):  # cold, then warm
+        for d in sizes:
+            del counted_scans[:]
+            cert = check_equivariant_smoothness(d, n, p)
+            _assert_the_scan_agrees(cert)
+            if d < corner:  # the injected row is not in this corner
+                assert cert == expected[d]
+                assert counted_scans == []
+            else:
+                assert cert != expected[d]
+                assert counted_scans == ([(d, n, p)] if scanned else [])

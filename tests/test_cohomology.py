@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from charpflag import (
     FiltrationH1,
+    H1Status,
     InternalInconsistencyError,
     NotPrimeError,
     UnsupportedDatumError,
@@ -24,7 +26,7 @@ from charpflag import (
 from charpflag import cohomology
 from charpflag.cohomology import aggregate_h1_statuses
 
-from conftest import datum_weights
+from conftest import datum_weights, rebuilt
 
 PRIMES = (5, 7, 11, 13)
 
@@ -174,6 +176,24 @@ def test_filtration_with_nonzero_highest_weight_is_unknown():
     d2 = make_datum("GL", 2)
     assert andersen_h1(d2.weight((-5, 5)), 5).highest_weight.coords == (4, -4)
     assert aggregate_h1_statuses([andersen_h1(d2.weight((-5, 5)), 5)]) == FiltrationH1.UNKNOWN
+
+
+def test_a_nonzero_status_without_a_largest_weight_aggregates_to_unknown():
+    # Such a status is no trivial module, so it never lets condition (ii)
+    # hold; asking either question raises no builtin error.
+    gl3 = make_datum("GL", 3)
+    bare = H1Status("nonzero")
+    assert not bare.is_trivial_module
+    assert aggregate_h1_statuses([bare]) is FiltrationH1.UNKNOWN
+    trivial = H1Status.nonzero(gl3.zero())
+    zero = H1Status("zero")
+    assert aggregate_h1_statuses([zero, trivial, bare, zero]) is FiltrationH1.UNKNOWN
+    assert aggregate_h1_statuses([zero, trivial]) is FiltrationH1.TRIVIAL_MODULE
+    # The kind is set by the constructor, so a rebuilt or unpickled status has it too.
+    for st in (bare, trivial, zero, H1Status.undetermined("open")):
+        for copy in (rebuilt(st), pickle.loads(pickle.dumps(st))):
+            assert copy == st and copy._kind == st._kind
+            assert copy.is_trivial_module == (st is trivial)
 
 
 def test_andersen_h1_agrees_on_gl_and_sl():
