@@ -82,6 +82,20 @@ MUTANTS = (
         "only a nonzero H^1 with largest weight zero is a trivial module",
     ),
     (
+        "h1-shortcut-always",
+        "cohomology.py",
+        "if covered < negatives:",
+        "if True:",
+        "only a root whose Cartan column misses a negative label of mu skips to zero",
+    ),
+    (
+        "h1-shortcut-never",
+        "cohomology.py",
+        "if covered < negatives:",
+        "if False:",
+        "a root whose Cartan column misses a negative label of mu skips its digit analysis",
+    ),
+    (
         "condition-iii",
         "certificate.py",
         "conditions = (self.condition_i, self.condition_ii, self.condition_iii)",

@@ -23,6 +23,8 @@ from typing import Iterable, Optional
 
 from .arith import require_prime
 from .errors import (
+    DatumMismatchError,
+    DimensionMismatchError,
     InternalInconsistencyError,
     NotPrimeError,
     RankRangeError,
@@ -377,11 +379,13 @@ def _fill(key: tuple, table: _RowTable, keys: tuple[int, ...]) -> None:
     if not _row_memo:  # emptied elsewhere: recount
         _row_memo_size = len(table) * cost
     before = len(table)
+    # Read once per fill, from the module global, so a substituted procedure still decides.
+    classify, keep = classify_weight, table.keep
     try:
         for index in keys:
             if index not in table:
                 i, j = divmod(index, 256)
-                table.keep(index, classify_weight(_end_weight(datum, p, i, j), p))
+                keep(index, classify(_end_weight(datum, p, i, j), p))
     finally:
         count = len(table) * cost
         if not count or count > _ROW_MEMO_MAX:  # empty, or alone past the cap
@@ -409,10 +413,24 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
 
     Exposed separately so the soundness guard can be exercised with
     fault-injected rows; ``check_equivariant_smoothness`` is the normal
-    entry point.
+    entry point.  The rows must be the certificate's: exactly d^2 of
+    them (else ``DimensionMismatchError``), each with a weight of GL(N)
+    (else ``DatumMismatchError``).  Each row is judged on its own weight
+    and status, so an injected row of GL(N) stays allowed.
     """
     _validate_parameters(d, n, p)
     rows = tuple(rows)
+    if len(rows) != d * d:
+        raise DimensionMismatchError(
+            f"a certificate on Gr({d}, {n}) takes {d * d} End rows, got {len(rows)}"
+        )
+    datum = make_datum("GL", n)
+    for row in rows:
+        if row.weight.datum is not datum:
+            raise DatumMismatchError(
+                f"row weight {row.weight!r} is not a weight of {datum.name}, "
+                f"the datum of Gr({d}, {n})"
+            )
 
     # Each row carries its weight's dominance, None on the diagonal.
     facts = list(map(_row_dominant, rows))

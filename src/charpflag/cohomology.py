@@ -127,10 +127,14 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     Every candidate is ``mu + t alpha``, whose labels are those of mu plus
     t times the Cartan column of alpha, so each dominance test reads at
     most three labels; a dense weight is built only for a reported
-    largest weight.
+    largest weight.  A negative label of mu off alpha's column stays
+    negative in every candidate, for every t >= 1, so no candidate is
+    dominant and both parts give zero: such a root is decided zero
+    without its base-p digits.
 
-    All applicable simple roots are evaluated and must agree; conflicting
-    definite verdicts raise InternalInconsistencyError (a bug, not a
+    All applicable simple roots are evaluated and must agree with the
+    first; a conflicting definite verdict raises
+    InternalInconsistencyError naming both roots (a bug, not a
     mathematical outcome).  If no simple root is applicable the status is
     undetermined.
     """
@@ -145,35 +149,45 @@ def andersen_h1(mu: Weight, p: int) -> H1Status:
     if not negatives:
         return _ZERO
     simple = datum.simple_roots
-    verdicts: list[tuple[Root, H1Status]] = []
+    label = labels.get
+    first = status = None
     for k, c in labels.items():
         if c > -2:
             continue
         alpha = simple[k]
         column = cartan_column(alpha)
         # m = <lam, alpha^vee> for lam = s_alpha . mu = mu - (c + 1) alpha,
-        # read through the column's diagonal <alpha, alpha^vee>.
+        # read through the column's diagonal <alpha, alpha^vee>; and the
+        # negative labels of mu on the column, c itself counted (a column
+        # without its diagonal leaves m = c and fails the check below).
         m = c
+        covered = 1
         for j, a in column:
             if j == k:
                 m -= (c + 1) * a
+            elif label(j, 0) < 0:
+                covered += 1
         if m != -c - 2:
             raise InternalInconsistencyError(
                 f"<s_alpha . mu, alpha^vee> = {m} != {-c - 2} for {mu!r} and {alpha!r}"
             )
         if m <= 0:
             continue  # criterion needs <lam, alpha^vee> > 0
-        verdicts.append((alpha, _andersen_one_root(mu, labels, negatives, alpha, column, m, p)))
-    if not verdicts:
+        if covered < negatives:  # a negative label off the column: no candidate is dominant
+            verdict = _ZERO
+        else:
+            verdict = _andersen_one_root(mu, labels, negatives, alpha, column, m, p)
+        if first is None:
+            first, status = alpha, verdict
+        elif verdict is not status and verdict != status:
+            raise InternalInconsistencyError(
+                f"simple roots give conflicting H^1 verdicts for {mu!r}: "
+                f"{[(first, status), (alpha, verdict)]}"
+            )
+    if first is None:
         return H1Status.undetermined(
             "no simple root with <mu, alpha^vee> <= -3; criterion not applicable"
         )
-    status = verdicts[0][1]
-    for _, other in verdicts:
-        if other is not status and other != status:
-            raise InternalInconsistencyError(
-                f"simple roots give conflicting H^1 verdicts for {mu!r}: {verdicts}"
-            )
     return status
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpflag import (
+    DatumMismatchError,
+    DimensionMismatchError,
     H1Status,
     InternalInconsistencyError,
     NotPrimeError,
@@ -311,6 +313,19 @@ def test_certificate_d_is_bounded_before_any_weight_is_built(monkeypatch):
             certificate_from_rows(d, n, 5, ())
 
 
+def test_a_certificate_takes_its_own_rows_only():
+    # d^2 rows, each with a weight of GL(N); anything else is not this
+    # certificate's case analysis, and a typed error, not a verdict.
+    rows = check_equivariant_smoothness(2, 4, 5).rows
+    with pytest.raises(DimensionMismatchError, match="takes 4 End rows, got 0"):
+        certificate_from_rows(2, 4, 5, [])
+    with pytest.raises(DimensionMismatchError, match="takes 9 End rows, got 4"):
+        certificate_from_rows(3, 6, 5, rows)
+    with pytest.raises(DatumMismatchError, match="not a weight of GL\\(9\\)"):
+        certificate_from_rows(2, 9, 7, rows)
+    assert certificate_from_rows(2, 4, 5, rows) == check_equivariant_smoothness(2, 4, 5)
+
+
 def test_certificate_at_the_d_bound():
     cert = check_equivariant_smoothness(DENSE_LISTING_MAX, DENSE_LISTING_MAX + 2, 5)
     assert cert.final_verdict == VERDICT_NO_LIFT
@@ -398,7 +413,10 @@ def test_fuzzed_undetermined_weights_never_certify(coords, p):
     if andersen_h1(w, p).status != "undetermined":
         return
     base = check_equivariant_smoothness(2, 6, p)
-    cert = certificate_from_rows(2, 6, p, list(base.rows) + [_undetermined_row(w)])
+    assert base.final_verdict == VERDICT_NO_LIFT
+    rows = list(base.rows)
+    rows[-1] = _undetermined_row(w)
+    cert = certificate_from_rows(2, 6, p, rows)
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
     assert not cert.condition_ii.holds
 
@@ -415,7 +433,10 @@ def test_nonzero_highest_weight_rows_never_certify():
         pairing_value=None,
         h1=H1Status.nonzero(d.weight((1, 0, 0, 0, 0, 0))),
     )
-    cert = certificate_from_rows(2, 6, 5, list(base.rows) + [bad])
+    assert base.final_verdict == VERDICT_NO_LIFT
+    rows = list(base.rows)
+    rows[-1] = bad
+    cert = certificate_from_rows(2, 6, 5, rows)
     assert cert.final_verdict == VERDICT_INCONCLUSIVE
 
 
@@ -454,10 +475,8 @@ def test_a_certificates_rigidity_verdicts_are_fresh_verdicts():
             frobenius_rigidity_verdict(gl, RingChar.prime_power(p, 2)),
             frobenius_rigidity_verdict(gl, RingChar.zero(), p=p),
         )
-        for cert in (
-            check_equivariant_smoothness(d, n, p),
-            certificate_from_rows(d, n, p, ()),
-        ):
+        checked = check_equivariant_smoothness(d, n, p)
+        for cert in (checked, certificate_from_rows(d, n, p, checked.rows)):
             assert (cert.rigidity_mod_p_squared, cert.rigidity_char_zero) == expected
             rigidity = cert.to_json()["rigidity"]
             assert rigidity["mod_p_squared"] == expected[0].to_json()
@@ -549,7 +568,7 @@ def test_conditions_i_and_ii_match_a_reference_on_injected_rows():
     rng = random.Random(20261019)
     seen = set()
     for _ in range(300):
-        rows = rng.choices(pool, k=rng.randrange(13))
+        rows = rng.choices(pool, k=9)  # d^2 rows for d = 3
         cert = certificate_from_rows(3, 6, 5, rows)
         cond_i, cond_ii = _reference_conditions(rows)
         assert (cert.condition_i, cert.condition_ii) == (cond_i, cond_ii)

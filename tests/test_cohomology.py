@@ -15,6 +15,7 @@ from charpflag import (
     bwb_char0,
     cartan_column,
     dot_reflect,
+    dynkin_labels,
     end_weights,
     frobenius_twist,
     is_dominant,
@@ -429,9 +430,10 @@ def test_a_nonzero_h1_needs_a_dominant_largest_weight():
 
 
 def test_andersen_checks_that_the_simple_roots_agree(monkeypatch):
-    # Labels -3 at the first and third simple roots: both are evaluated.
-    datum = make_datum("GL", 5)
-    mu = datum.weight((0, 3, 0, 3, 0))
+    # Labels -3 at the first and second simple roots, and each column holds
+    # both: both roots run the digit analysis.
+    datum = make_datum("GL", 4)
+    mu = datum.weight((0, 3, 6, 6))
     first = datum.simple_roots[0]
 
     def disagreeing(mu, labels, negatives, alpha, column, m, p):
@@ -446,3 +448,58 @@ def test_andersen_checks_that_the_simple_roots_agree(monkeypatch):
     # Equal statuses built separately are one verdict.
     monkeypatch.setattr(cohomology, "_andersen_one_root", lambda *args: cohomology.H1Status("zero"))
     assert andersen_h1(mu, 5) == cohomology._ZERO
+
+
+def test_a_shortcut_zero_that_meets_a_nonzero_verdict_raises(monkeypatch):
+    # Labels -3 at the first three simple roots: only the second root's
+    # column holds all three, so the first and third take the zero shortcut
+    # and only the second reaches the digit analysis.
+    datum = make_datum("GL", 5)
+    mu = datum.weight((0, 3, 6, 9, 9))
+    simple = datum.simple_roots
+    called = []
+
+    def nonzero(mu, labels, negatives, alpha, column, m, p):
+        called.append(alpha)
+        return cohomology.H1Status.nonzero(datum.zero())
+
+    monkeypatch.setattr(cohomology, "_andersen_one_root", nonzero)
+    with pytest.raises(InternalInconsistencyError, match="conflicting H\\^1 verdicts") as info:
+        andersen_h1(mu, 5)
+    assert called == [simple[1]]
+    assert repr(simple[0]) in str(info.value) and repr(simple[1]) in str(info.value)
+
+
+def _shortcut_roots(mu):
+    """(alpha, column, m) of each applicable root whose column misses a negative label."""
+    labels = dynkin_labels(mu)
+    negative = {k for k, c in labels.items() if c < 0}
+    for k, c in labels.items():
+        alpha = mu.datum.simple_roots[k]
+        column = cartan_column(alpha)
+        if c <= -3 and not negative <= {j for j, _ in column}:
+            yield alpha, column, -c - 2
+
+
+def test_the_zero_shortcut_agrees_with_the_digit_analysis():
+    # Every applicable root whose column misses a negative label of mu
+    # gets zero from the full digit analysis too.
+    box = range(-5, 6)
+    gl3 = make_datum("GL", 3)
+    weights = [gl3.weight((a, b, c)) for a in box for b in box for c in box]
+    rng = random.Random(20261020)
+    for n in (4, 5, 6):
+        datum = make_datum("GL", n)
+        for _ in range(20_000):
+            bound = rng.choice((5, 12, 60))
+            weights.append(datum.weight([rng.randint(-bound, bound) for _ in range(n)]))
+    checked = 0
+    for mu in weights:
+        labels = dynkin_labels(mu)
+        negatives = sum(c < 0 for c in labels.values())
+        for alpha, column, m in _shortcut_roots(mu):
+            for p in (2, 3, 5, 7):
+                verdict = cohomology._andersen_one_root(mu, labels, negatives, alpha, column, m, p)
+                assert verdict.is_zero, (mu, alpha, p, verdict)
+                checked += 1
+    assert checked > 200_000

@@ -5,9 +5,16 @@ criterion: it pairs mu with every simple root, dot-reflects densely and
 tests every candidate weight for dominance by pairing it with every
 simple root.  The engine in ``charpflag.cohomology`` must give the same
 full ``H1Status`` (status, largest weight and reason text), or raise the
-same error, on a seeded grid of weights.
+same error, on a seeded grid of weights.  The dense engine reads neither
+labels nor Cartan columns, so it also checks the label-based shortcuts.
+
+The grid draws ``H1_WEIGHTS_PER_SHAPE`` weights (default 20) per datum,
+prime and shape; for a 10x grid:
+
+    H1_WEIGHTS_PER_SHAPE=200 python -m pytest -q tests/test_h1_engine.py
 """
 
+import os
 import random
 
 import pytest
@@ -27,7 +34,7 @@ from charpflag import (
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 DATA = [("GL", n) for n in range(2, 11)] + [("SL", n) for n in range(3, 9)]
-WEIGHTS_PER_SHAPE = 20
+WEIGHTS_PER_SHAPE = int(os.environ.get("H1_WEIGHTS_PER_SHAPE", "20"))
 
 
 def _dense_dominant(lam):
