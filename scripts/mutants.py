@@ -11,6 +11,13 @@ copy must pass first, so a failing suite does not read as killed
 mutants.  Standard library only; the suite itself needs pytest and
 hypothesis.
 
+Each suite runs under a time bound.  The unmutated one has
+``BASELINE_TIMEOUT`` seconds, and the script exits 1 if it takes longer;
+each mutant's suite then has ten times the unmutated run's time, at
+least 60 seconds.  A mutant whose suite passes its bound is killed, by
+``timeout``: it made the suite hang.  A control that times out counts as
+killed, so the script exits 1.
+
 In a mutant copy the suite runs without ``SNIPPET_TEST``, which counts
 each row's snippet in the copy's own source and so fails wherever a row
 has been applied: a mutant must be killed by a test of behaviour.
@@ -27,6 +34,7 @@ Example (from the root of a checkout; about three minutes on 2 vCPUs):
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "charpflag"
 SNIPPET_TEST = "tests/test_scripts.py::test_every_mutant_snippet_occurs_once_in_src"
+BASELINE_TIMEOUT = 600  # seconds; the unmutated suite takes about 11 on 2 vCPUs
 
 # (name, module, exact snippet, replacement, the check it removes)
 MUTANTS = (
@@ -303,6 +312,13 @@ MUTANTS = (
         "a difference of weights takes two weights of one datum",
     ),
     (
+        "family-fast-path",
+        "lattice.py",
+        "family in _CANONICAL_FAMILIES",
+        "True",
+        "only a canonical family name skips the folding of its name",
+    ),
+    (
         "pairing-denominator",
         "lattice.py",
         "if pairing_denominator < 1:",
@@ -380,16 +396,32 @@ def apply(tree: Path, module: str, snippet: str, replacement: str) -> None:
     path.write_text(mutated)
 
 
-def run_suite(tree: Path, *deselect: str) -> tuple[int, float, str]:
-    """Tier-1 on ``tree`` with ``-x``: (pytest's exit status, seconds, first failing test)."""
+def run_suite(tree: Path, *deselect: str, timeout: float) -> tuple[int | None, float, str]:
+    """Tier-1 on ``tree`` with ``-x``: (pytest's exit status, seconds, first failing test).
+
+    A suite still running after ``timeout`` seconds is killed, with every
+    process it started, and reads (None, seconds, "timeout").
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider"]
     command += [f"--deselect={node}" for node in deselect]
     start = time.perf_counter()
-    proc = subprocess.run(
-        command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
-    )
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    with subprocess.Popen(
+        command,
+        cwd=tree,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,  # its own process group, killed whole on a timeout
+    ) as proc:
+        try:
+            stdout = proc.communicate(timeout=timeout)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return None, time.perf_counter() - start, "timeout"
+    failed = [line.split()[1] for line in stdout.splitlines() if line.startswith("FAILED ")]
     return proc.returncode, time.perf_counter() - start, failed[0] if failed else "?"
 
 
@@ -405,12 +437,12 @@ def copy_tree(scratch: Path) -> Path:
     return tree
 
 
-def run_mutant(scratch: Path, module: str, snippet: str, replacement: str):
+def run_mutant(scratch: Path, module: str, snippet: str, replacement: str, timeout: float):
     """``run_suite`` on a copy of the tree with one row applied."""
     tree = copy_tree(scratch)
     apply(tree, module, snippet, replacement)
     try:
-        return run_suite(tree, SNIPPET_TEST)
+        return run_suite(tree, SNIPPET_TEST, timeout=timeout)
     finally:
         shutil.rmtree(tree.parent)
 
@@ -418,18 +450,24 @@ def run_mutant(scratch: Path, module: str, snippet: str, replacement: str):
 def main() -> int:
     survivors, killed_controls = [], []
     with tempfile.TemporaryDirectory(prefix="charpflag-mutants-") as scratch:
-        status, seconds, _ = run_suite(copy_tree(Path(scratch)))
+        status, seconds, _ = run_suite(copy_tree(Path(scratch)), timeout=BASELINE_TIMEOUT)
+        if status is None:
+            print(f"error: the unmutated suite ran past {BASELINE_TIMEOUT} s", file=sys.stderr)
+            return 1
         if status != 0:
             print(f"error: the unmutated suite exits {status}", file=sys.stderr)
             return 2
         print(f"unmutated   ok       {seconds:5.1f} s")
+        timeout = max(60.0, 10 * seconds)
         for rows, control in ((MUTANTS, False), (EQUIVALENT, True)):
             for name, module, snippet, replacement, why in rows:
-                status, seconds, failed = run_mutant(Path(scratch), module, snippet, replacement)
-                if status not in (0, 1):
+                status, seconds, failed = run_mutant(
+                    Path(scratch), module, snippet, replacement, timeout
+                )
+                if status not in (None, 0, 1):
                     print(f"error: pytest exits {status} on mutant {name}", file=sys.stderr)
                     return 2
-                killed = status == 1
+                killed = status != 0  # a failing test, or a suite that timed out
                 if killed == control:  # a surviving mutant or a killed control
                     (killed_controls if control else survivors).append(name)
                 if control:

@@ -241,16 +241,16 @@ class Certificate(_Value):
         rigidity_char_zero,
         assumptions=STANDING_ASSUMPTIONS,
     ):
-        Certificate.d.__set__(self, d)
-        Certificate.N.__set__(self, N)
-        Certificate.p.__set__(self, p)
-        Certificate.rows.__set__(self, rows)
-        Certificate.condition_i.__set__(self, condition_i)
-        Certificate.condition_ii.__set__(self, condition_ii)
-        Certificate.condition_iii.__set__(self, condition_iii)
-        Certificate.rigidity_mod_p_squared.__set__(self, rigidity_mod_p_squared)
-        Certificate.rigidity_char_zero.__set__(self, rigidity_char_zero)
-        Certificate.assumptions.__set__(self, assumptions)
+        _set_cert_d(self, d)
+        _set_cert_n(self, N)
+        _set_cert_p(self, p)
+        _set_cert_rows(self, rows)
+        _set_cert_i(self, condition_i)
+        _set_cert_ii(self, condition_ii)
+        _set_cert_iii(self, condition_iii)
+        _set_cert_mod_p_squared(self, rigidity_mod_p_squared)
+        _set_cert_char_zero(self, rigidity_char_zero)
+        _set_cert_assumptions(self, assumptions)
 
     @property
     def rigidity_no_lift(self) -> bool:
@@ -283,6 +283,19 @@ class Certificate(_Value):
             },
             "verdict": self.final_verdict,
         }
+
+
+# Bound once: a certificate is built on every call, warm ones included.
+_set_cert_d = Certificate.d.__set__
+_set_cert_n = Certificate.N.__set__
+_set_cert_p = Certificate.p.__set__
+_set_cert_rows = Certificate.rows.__set__
+_set_cert_i = Certificate.condition_i.__set__
+_set_cert_ii = Certificate.condition_ii.__set__
+_set_cert_iii = Certificate.condition_iii.__set__
+_set_cert_mod_p_squared = Certificate.rigidity_mod_p_squared.__set__
+_set_cert_char_zero = Certificate.rigidity_char_zero.__set__
+_set_cert_assumptions = Certificate.assumptions.__set__
 
 
 def classify_weight(mu: Weight, p: int) -> CaseRow:

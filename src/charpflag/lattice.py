@@ -71,10 +71,22 @@ DENSE_LISTING_MAX = 64
 # Canonical family tags accepted by make_datum.
 FAMILIES = ("GL", "SL", "Sp", "SO_odd", "SO_even", "Torus")
 
+_CANONICAL_FAMILIES = frozenset(FAMILIES)
 _FAMILY_ALIASES = {name.lower().replace("_", ""): name for name in FAMILIES}
 
 
 def normalize_family(family: str) -> str:
+    """The canonical name, one of ``FAMILIES``, of a datum family.
+
+    Case, hyphens, underscores and spaces are ignored, so ``"gl"`` and
+    ``"so-odd"`` name GL and SO_odd.  A plain ``str`` that is already
+    canonical is returned as it is, before any string is built; a ``str``
+    subclass takes the folding path, so the result is always a plain
+    ``str``.  Anything that is not a string, or names no family, raises
+    ``RankRangeError``.
+    """
+    if type(family) is str and family in _CANONICAL_FAMILIES:
+        return family
     if isinstance(family, str):
         key = family.lower().replace("-", "").replace("_", "").replace(" ", "")
         if key in _FAMILY_ALIASES:

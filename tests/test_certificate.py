@@ -763,6 +763,48 @@ def test_the_memo_keeps_small_tables_past_an_oversized_one(monkeypatch):
     certificate._row_memo.clear()
 
 
+def test_a_thread_waits_for_the_memo_while_another_thread_fills_it(monkeypatch):
+    # Thread A pauses inside _fill with the memo's lock held; thread B, asking
+    # for the same certificate, must wait for the lock and then take A's rows.
+    expected = check_equivariant_smoothness(4, 8, 7)
+    certificate._row_memo.clear()
+    inside, release = threading.Event(), threading.Event()
+    results, errors, classified_by_b = {}, [], []
+
+    def pausing(mu, p):
+        if threading.current_thread().name == "A":
+            inside.set()
+            assert release.wait(10)
+        else:
+            classified_by_b.append(mu)
+        return classify_weight(mu, p)
+
+    def work():
+        try:
+            results[threading.current_thread().name] = check_equivariant_smoothness(4, 8, 7)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    monkeypatch.setattr(certificate, "classify_weight", pausing)
+    a, b = (threading.Thread(target=work, name=name) for name in "AB")
+    try:
+        a.start()
+        assert inside.wait(10)
+        b.start()
+        b.join(0.2)
+        waiting = b.is_alive()  # on the lock: it neither classified nor returned
+    finally:
+        release.set()
+        a.join(10)
+        b.join(10)
+    assert not a.is_alive() and not b.is_alive()
+    assert errors == []
+    assert waiting and classified_by_b == []
+    assert results == {"A": expected, "B": expected}
+    assert certificate._row_memo_size == _memo_count()
+    certificate._row_memo.clear()
+
+
 def test_threads_sharing_the_memo_get_the_certificates_one_thread_gets(monkeypatch):
     # A small cap, so that tables are dropped while other threads hold theirs.
     cases = [(d, n, p) for p in (5, 7) for n in (8, 9) for d in range(2, n - 1)]

@@ -32,7 +32,7 @@ from charpflag import (
     weyl_group_order,
 )
 from charpflag import lattice
-from charpflag.lattice import MAX_RANK
+from charpflag.lattice import MAX_RANK, normalize_family
 
 from conftest import (
     CLASSICAL_FAMILIES,
@@ -102,9 +102,15 @@ def test_rank_range_errors():
 
 
 def test_make_datum_returns_same_handle():
+    class Name(str):  # not a plain str, so it takes the folding path
+        pass
+
     assert make_datum("GL", 4) is make_datum("gl", 4)
     assert make_datum("SO_odd", 3) is make_datum("so-odd", 3)
     assert make_torus(3) is make_datum("torus", 3)
+    assert make_datum(Name("GL"), 3) is make_datum("GL", 3)
+    assert type(make_datum(Name("GL"), 3).family) is str
+    assert type(normalize_family(Name("SO_odd"))) is str
 
 
 def test_non_integer_ranks_are_rejected():
