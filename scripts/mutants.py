@@ -347,6 +347,27 @@ MUTANTS = (
         "a custom datum lists no simple root twice",
     ),
     (
+        "chain-one-short",
+        "lattice.py",
+        "for k in range(len(supports), n - 1))",
+        "for k in range(len(supports), n - 2))",
+        "the shared chain holds every simple l_k - l_{k+1} of the largest datum built",
+    ),
+    (
+        "index-table-custom-guard",
+        "lattice.py",
+        'if family != "custom":\n            # A classical',
+        "if True:\n            # A classical",
+        "a custom datum's coroot-index entries stay out of the shared table",
+    ),
+    (
+        "mat-vec-last-coordinate",
+        "rootmorph.py",
+        "for j in compress(range(len(vec)), vec):",
+        "for j in compress(range(len(vec) - 1), vec):",
+        "a morphism's h is applied to every nonzero coordinate of a root or coroot",
+    ),
+    (
         "ring-zero",
         "cli.py",
         'if s == "zero":',
@@ -399,11 +420,17 @@ def apply(tree: Path, module: str, snippet: str, replacement: str) -> None:
 def run_suite(tree: Path, *deselect: str, timeout: float) -> tuple[int | None, float, str]:
     """Tier-1 on ``tree`` with ``-x``: (pytest's exit status, seconds, first failing test).
 
+    The first failing test is a test id, or the path of a test module that
+    failed to import.
+
     A suite still running after ``timeout`` seconds is killed, with every
     process it started, and reads (None, seconds, "timeout").
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider"]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"]
+    # As in the tier-1 command: a test module that fails to import is a
+    # failure, so a mutant that breaks a module-level datum is killed.
+    command.append("--continue-on-collection-errors")
     command += [f"--deselect={node}" for node in deselect]
     start = time.perf_counter()
     with subprocess.Popen(
@@ -421,7 +448,9 @@ def run_suite(tree: Path, *deselect: str, timeout: float) -> tuple[int | None, f
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             return None, time.perf_counter() - start, "timeout"
-    failed = [line.split()[1] for line in stdout.splitlines() if line.startswith("FAILED ")]
+    failed = [
+        line.split()[1] for line in stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))
+    ]
     return proc.returncode, time.perf_counter() - start, failed[0] if failed else "?"
 
 

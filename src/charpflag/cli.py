@@ -499,10 +499,12 @@ def _run_single(parser: _Parser, argv: Sequence[str], compact_json: bool) -> int
             "result": result,
             "version": __version__,
         }
+        # The envelope is a tree built fresh for this query, so it cannot
+        # hold a cycle, and the encoder skips its circular-reference check.
         if compact_json:
-            print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+            print(json.dumps(envelope, sort_keys=True, separators=(",", ":"), check_circular=False))
         else:
-            print(json.dumps(envelope, sort_keys=True, indent=2))
+            print(json.dumps(envelope, sort_keys=True, indent=2, check_circular=False))
     else:
         print(*output, sep="\n")
     return code

@@ -176,6 +176,10 @@ class RootDatum:
             if num != pairing_denominator and off_rho is None and self.weyl_vector is not None:
                 off_rho = num, a
         self.simple_roots = tuple(simple)
+        if family != "custom":
+            # A classical datum's entries recur in every larger datum of its
+            # family; a custom datum's stay its own, so no input grows the table.
+            index = map(_INDEX_ENTRIES.setdefault, index, index)
         self._coroot_index = tuple(index)
         self._check_lattice(self.simple_roots)
         if off_rho is not None:
@@ -770,9 +774,31 @@ def _check_rank(rank, label: str, least: int = 0) -> None:
         raise RankRangeError(f"{label} rank {rank} exceeds the bound {MAX_RANK}")
 
 
+# The supports ((k, s), (k + 1, -s)) of the simple roots l_k - l_{k+1},
+# scaled by s, for k = 0, 1, ...: A_{n-1} sits inside A_n, so every datum
+# takes its first n - 1 chain supports from one list per scale, grown
+# under ``_datum_lock`` to the largest rank built (at most MAX_RANK - 1
+# supports).  A new datum then leaves few objects for the cyclic collector
+# to track, so building one rarely pulls a collection into its caller.
+_CHAINS: dict[int, list[Support]] = {1: [], 2: []}
+
+# One copy of each coroot-index entry of a classical datum, kept by
+# ``RootDatum.__init__``: tuples of at most three consecutive indices below
+# MAX_RANK, so the table stays small.
+_INDEX_ENTRIES: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _chain(s: int, n: int) -> list[Support]:
+    """The first n - 1 chain supports of scale s.  Call with ``_datum_lock`` held."""
+    supports = _CHAINS[s]
+    supports.extend(((k, s), (k + 1, -s)) for k in range(len(supports), n - 1))
+    return supports[: n - 1]
+
+
 def _build_datum(family: str, n: int) -> RootDatum:
-    # Supports of l_i - l_j and l_i + l_j (i < j), of l_i, and of the
-    # simple l_k - l_{k+1}, scaled by s.
+    """The classical datum (family, n).  Call with ``_datum_lock`` held."""
+
+    # Supports of l_i - l_j and l_i + l_j (i < j) and of l_i, scaled by s.
     def minus(s: int) -> list[Support]:
         return [((i, s), (j, -s)) for i in range(n) for j in range(i + 1, n)]
 
@@ -781,9 +807,6 @@ def _build_datum(family: str, n: int) -> RootDatum:
 
     def single(s: int) -> list[Support]:
         return [((i, s),) for i in range(n)]
-
-    def chain(s: int) -> list[Support]:
-        return [((k, s), (k + 1, -s)) for k in range(n - 1)]
 
     def same(supports: list[Support]) -> list[RootPair]:
         return [(sup, sup) for sup in supports]
@@ -795,21 +818,26 @@ def _build_datum(family: str, n: int) -> RootDatum:
     if family == "Torus":
         simples, rho, positives, name = [], (0,) * n, lambda: [], f"T({n})"
     elif family in ("GL", "SL"):
-        simples, rho = same(chain(1)), tuple(range(n - 1, -1, -1))
+        steps = _chain(1, n)
+        simples, rho = zip(steps, steps), tuple(range(n - 1, -1, -1))
         positives = lambda: same(minus(1))
     elif family == "Sp":
-        simples, rho = same(chain(1)) + [(((n - 1, 2),), ((n - 1, 1),))], tuple(range(n, 0, -1))
+        steps = _chain(1, n)
+        simples = chain(zip(steps, steps), [(((n - 1, 2),), ((n - 1, 1),))])
+        rho = tuple(range(n, 0, -1))
         positives = lambda: same(minus(1)) + same(plus(1)) + list(zip(single(2), single(1)))
         name = f"Sp({2 * n})"
     elif family == "SO_even":
-        simples, rho = same(chain(1) + [((n - 2, 1), (n - 1, 1))]), tuple(range(n - 1, -1, -1))
+        steps, last = _chain(1, n), ((n - 2, 1), (n - 1, 1))
+        simples, rho = chain(zip(steps, steps), [(last, last)]), tuple(range(n - 1, -1, -1))
         positives = lambda: same(minus(1)) + same(plus(1))
         name = f"SO({2 * n})"
     elif family == "SO_odd":
         # Spin weight lattice, half-character units: every plain vector
         # is doubled; short coroots stay doubled, long coroots are the
         # plain e_i -+ e_j.
-        simples = list(zip(chain(2), chain(1))) + same([((n - 1, 2),)])
+        last = ((n - 1, 2),)
+        simples = chain(zip(_chain(2, n), _chain(1, n)), [(last, last)])
         rho = tuple(2 * (n - i) - 1 for i in range(n))
         positives = lambda: (
             list(zip(minus(2), minus(1))) + list(zip(plus(2), plus(1))) + same(single(2))

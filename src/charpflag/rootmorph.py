@@ -17,6 +17,7 @@ nonzero.  Both checks are implemented here.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Optional
 
 from .arith import require_prime
@@ -162,7 +163,17 @@ class PMorphismData(_Value):
 
 
 def _mat_vec(mat: tuple[tuple[int, ...], ...], vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in mat)
+    """mat * vec, reading only the columns of vec's nonzero coordinates.
+
+    A classical root or coroot has at most two nonzero coordinates, so
+    most roots cost O(rank), not O(rank^2); only the canonical vector of an
+    SL root whose zero-sum lift meets the last coordinate is dense.
+    """
+    out = [0] * len(mat)
+    for j in compress(range(len(vec)), vec):
+        c = vec[j]
+        out = [o + row[j] * c for o, row in zip(out, mat)]
+    return tuple(out)
 
 
 def _transpose(mat: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

@@ -125,6 +125,30 @@ def test_text_output_bytes_are_pinned(capsys, tmp_path, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_envelopes_encode_as_with_the_circular_reference_check(capsys, tmp_path, monkeypatch):
+    # The envelope skips the encoder's circular-reference check; its text
+    # must equal what the default encoder makes of the same envelope, in
+    # the indented single-query form and the compact batch form.
+    path = tmp_path / "frobenius.json"
+    path.write_text(json.dumps(_ISOGENY_P2))
+    lines = [argv.format(file=path) + " --json" for argv, _ in _TEXT_PINS]
+    dumps, calls = json.dumps, []
+
+    def recording_dumps(obj, **kwargs):
+        calls.append((obj, kwargs))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", recording_dumps)
+    outputs = [run_cli(capsys, *line.split())[1] for line in lines]
+    batch = tmp_path / "queries.txt"
+    batch.write_text("".join(line + "\n" for line in lines))
+    outputs += run_cli(capsys, "--batch", str(batch))[1].splitlines(keepends=True)
+    assert len(calls) == len(outputs) == 2 * len(_TEXT_PINS)
+    for (envelope, kwargs), out in zip(calls, outputs):
+        assert kwargs.pop("check_circular") is False
+        assert out == dumps(envelope, **kwargs) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # h1 / bwb0
 

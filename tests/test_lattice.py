@@ -6,6 +6,7 @@ import pickle
 import re
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -375,7 +376,8 @@ def test_custom_simple_roots_must_form_a_base(rank, positive, simple, what):
 
 def _fresh_datum(family, n):
     """A datum outside make_datum's cache, so a test may corrupt it."""
-    return lattice._build_datum(lattice.normalize_family(family), n)
+    with lattice._datum_lock:  # which guards the shared chain supports
+        return lattice._build_datum(lattice.normalize_family(family), n)
 
 
 def test_root_lists_are_built_on_first_access():
@@ -510,6 +512,151 @@ def test_the_datum_cache_gives_one_handle_per_datum_across_threads():
     first = {}
     assert all(first.setdefault(n, datum) is datum for n, datum in seen)
     assert lattice._recent_datum.cache_info().currsize == lattice._DATUM_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# Shared simple-root chain supports and coroot-index entries
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty chain and index tables; call again for new ones.  The process's own
+    tables come back after the test."""
+
+    def install():
+        monkeypatch.setattr(lattice, "_CHAINS", {1: [], 2: []})
+        monkeypatch.setattr(lattice, "_INDEX_ENTRIES", {})
+
+    install()
+    return install
+
+
+def _chain_of(s, length):
+    return [((k, s), (k + 1, -s)) for k in range(length)]
+
+
+def _described(datum):
+    """Everything a datum shows of its simple roots, by value."""
+    roots = [(r.support, r.co_support, r.vector.coords, r.coroot) for r in datum.simple_roots]
+    return roots, datum._coroot_index, datum.to_json(), repr(datum)
+
+
+def _build(family, *ranks):
+    with lattice._datum_lock:
+        return [lattice._build_datum(family, n) for n in ranks]
+
+
+def test_classical_data_share_their_chain_supports_and_index_entries():
+    small, large = make_datum("GL", 9), make_datum("GL", 12)
+    assert small.simple_roots[3].support is large.simple_roots[3].support
+    assert small.simple_roots[3].co_support is large.simple_roots[3].co_support
+    assert small._coroot_index[3] is large._coroot_index[3]
+    # Each datum still owns its roots, which compare by datum and value.
+    assert small.simple_roots[3] is not large.simple_roots[3]
+    assert small.simple_roots[3] != large.simple_roots[3]
+    assert small.simple_roots[3].datum is small and large.simple_roots[3].datum is large
+
+
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES)
+def test_data_built_in_either_order_are_equal(family, fresh_tables):
+    upward = [_described(datum) for datum in _build(family, 4, 9)]
+    fresh_tables()
+    downward = [_described(datum) for datum in _build(family, 9, 4)]
+    assert downward == upward[::-1]
+    assert lattice._CHAINS[1] == _chain_of(1, 8)
+
+
+def test_so_odd_takes_its_roots_from_the_scale_two_chain(fresh_tables):
+    (datum,) = _build("SO_odd", 5)
+    chains = lattice._CHAINS
+    assert chains[2] is not chains[1]
+    assert chains[2] == _chain_of(2, 4) and chains[1] == _chain_of(1, 4)
+    for k, alpha in enumerate(datum.simple_roots[:-1]):
+        assert alpha.support is chains[2][k] and alpha.co_support is chains[1][k]
+    last = datum.simple_roots[-1]
+    assert last.support == last.co_support == ((4, 2),)
+
+
+@pytest.mark.parametrize(
+    "family,last",
+    [
+        ("Sp", lambda n: (((n - 1, 2),), ((n - 1, 1),))),
+        ("SO_even", lambda n: (((n - 2, 1), (n - 1, 1)),) * 2),
+    ],
+)
+def test_the_last_simple_root_of_sp_and_so_even_stays_per_rank(family, last, fresh_tables):
+    for datum in _build(family, 6, 4, 5):
+        alpha = datum.simple_roots[-1]
+        assert (alpha.support, alpha.co_support) == last(datum.rank)
+    # The chain holds only the l_k - l_{k+1} steps, never a last root.
+    assert lattice._CHAINS == {1: _chain_of(1, 5), 2: []}
+
+
+def test_custom_data_leave_the_shared_tables_unchanged():
+    # A3 with its simple roots listed out of order, so that coordinate 1
+    # is met by the coroots 0 and 2: an index entry of no classical datum.
+    chains = {s: list(supports) for s, supports in lattice._CHAINS.items()}
+    entries = dict(lattice._INDEX_ENTRIES)
+    positive = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)]
+    positive += [(1, 0, -1, 0), (0, 1, 0, -1), (1, 0, 0, -1)]
+    datum = custom_datum(
+        4, [(v, v) for v in positive], [(1, -1, 0, 0), (0, 0, 1, -1), (0, 1, -1, 0)]
+    )
+    assert datum._coroot_index == ((0,), (0, 2), (1, 2), (1,))
+    assert lattice._INDEX_ENTRIES == entries and (0, 2) not in lattice._INDEX_ENTRIES
+    assert lattice._CHAINS == chains
+
+
+def test_a_new_datum_leaves_few_objects_for_the_collector():
+    # The chain supports and index entries of GL(100) exist already, so the
+    # build adds little more than its own roots.
+    make_datum("GL", 120)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        (datum,) = _build("GL", 100)
+        tracked = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(datum.simple_roots) == 99 and tracked < 2 * 99
+
+
+def test_threads_building_distinct_ranks_get_correct_supports(fresh_tables, monkeypatch):
+    # Through make_datum, with its cache emptied, so that every thread
+    # builds: the chain grows under the datum lock.
+    monkeypatch.setattr(lattice, "_live_data", weakref.WeakValueDictionary())
+    lattice._recent_datum.cache_clear()
+    ranks = [40 + 9 * i for i in range(8)]
+    built, errors = {}, []
+    start = threading.Barrier(len(ranks))
+
+    def work(n):
+        try:
+            start.wait(timeout=60)
+            built[n] = make_datum("GL", n)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in ranks]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        lattice._recent_datum.cache_clear()  # its handles belong to the patched table
+    assert [t.is_alive() for t in threads] == [False] * len(ranks)
+    assert errors == [] and sorted(built) == ranks
+    for n, datum in built.items():
+        assert [a.support for a in datum.simple_roots] == _chain_of(1, n - 1)
+        assert [a.co_support for a in datum.simple_roots] == _chain_of(1, n - 1)
+    assert lattice._CHAINS[1] == _chain_of(1, max(ranks) - 1)
 
 
 def test_custom_data_with_wrong_coordinate_counts_are_rejected():

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from charpflag import (
     weyl_group,
     weyl_group_order,
 )
+from charpflag import rootmorph
 from charpflag.rootmorph import q_admissible
 
 from conftest import prime_power_reference, rebuilt, scalar_p_morphism
@@ -380,3 +382,77 @@ def test_rigidity_verdict_matches_validating_the_frobenius_data(p):
             expected = validate_p_morphism(scalar_p_morphism(datum, p, ring)).valid
             verdict = frobenius_rigidity_verdict(datum, ring, p=p)
             assert verdict.lift_possible == expected, (datum.name, ring, p)
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrix-vector products
+
+
+def _dense_mat_vec(mat, vec):
+    """The reference: mat * vec, reading every column."""
+    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in mat)
+
+
+def _seeded_morphisms(datum, seed):
+    """Morphism data on datum from integer h: scalar, perturbed and random.
+
+    The scalar h with q == 5 is the Frobenius, valid over F_5.  The
+    perturbed and random h fail the lattice relations on some roots, and
+    some of their q fail admissibility, so failures and details are compared.
+    """
+    rng = random.Random(seed)
+    n, roots = datum.rank, datum.roots
+    scalar = [[5 if i == j else 0 for j in range(n)] for i in range(n)]
+    perturbed = [row[:] for row in scalar]
+    for _ in range(rng.randint(1, n)):
+        perturbed[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
+    dense = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    for h in (scalar, perturbed, dense):
+        q = {a: 5 if h is scalar else rng.choice((5, 5, 5, 25, 3, 1)) for a in roots}
+        yield PMorphismData(
+            datum, datum, tuple(map(tuple, h)), {a: a for a in roots}, q, RingChar.prime(5)
+        )
+
+
+@pytest.mark.parametrize("family", ("GL", "SL", "Sp", "SO_odd", "SO_even"))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_morphism_checks_match_the_dense_reference(family, n, monkeypatch):
+    datum = make_datum(family, n)
+    cases = list(_seeded_morphisms(datum, seed=1000 * n + len(family)))
+    for data in cases:
+        h_t = rootmorph._transpose(data.h)
+        for alpha in datum.roots:
+            vec, co = alpha.vector.coords, alpha.coroot
+            assert rootmorph._mat_vec(data.h, vec) == _dense_mat_vec(data.h, vec)
+            assert rootmorph._mat_vec(h_t, co) == _dense_mat_vec(h_t, co)
+    sparse = [validate_p_morphism(data) for data in cases]
+    monkeypatch.setattr(rootmorph, "_mat_vec", _dense_mat_vec)
+    dense = [validate_p_morphism(data) for data in cases]
+    # Verdicts compare by their failures: relation, root and detail text.
+    assert sparse == dense
+    assert sparse[0].valid and any(f.relation.startswith("h(") for f in sparse[1].failures)
+
+
+class _RecordingRow(tuple):
+    """A matrix row that records which columns are read."""
+
+    def __new__(cls, row, reads):
+        self = super().__new__(cls, row)
+        self.reads = reads
+        return self
+
+    def __getitem__(self, j):
+        self.reads.add(j)
+        return super().__getitem__(j)
+
+
+@pytest.mark.parametrize("family", ("GL", "SL", "Sp", "SO_odd", "SO_even"))
+def test_mat_vec_reads_only_the_columns_of_nonzero_coordinates(family):
+    datum = make_datum(family, 5)
+    mat = tuple(tuple(7 * i + j for j in range(datum.rank)) for i in range(datum.rank))
+    for alpha in datum.roots:
+        for vec in (alpha.vector.coords, alpha.coroot):
+            reads = set()
+            rows = tuple(_RecordingRow(row, reads) for row in mat)
+            assert rootmorph._mat_vec(rows, vec) == _dense_mat_vec(mat, vec)
+            assert reads == {j for j, c in enumerate(vec) if c}

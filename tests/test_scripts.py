@@ -62,6 +62,16 @@ def test_mutants_kills_a_suite_that_runs_past_its_timeout(monkeypatch, tmp_path)
     assert killed == [(_HangingSuite.pid, signal.SIGKILL)]  # pytest and what its tests started
 
 
+def test_mutants_counts_a_module_that_fails_to_import_as_a_failure(tmp_path):
+    # As the tier-1 command does: a mutant that breaks a module-level datum
+    # is killed, and the module is named.
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_values.py").write_text("ALPHA, BETA = ()\n")
+    status, _, failed = _script("mutants").run_suite(tmp_path, timeout=120)
+    assert (status, failed) == (1, "tests/test_values.py")
+
+
 def _scripted_mutants(monkeypatch, tmp_path, baseline, outcomes):
     """The mutants script with its suites replaced by the given outcomes.
 
