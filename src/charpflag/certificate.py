@@ -74,12 +74,6 @@ _row_memo: dict = {}
 _row_memo_size = 0
 _row_lock = allocate_lock()  # threading.Lock, without importing threading
 
-# Both rigidity verdicts of GL_d at p, per (frobenius_rigidity_verdict, d, p);
-# emptied when it reaches _RIGIDITY_MEMO_MAX entries.  It needs no lock: two
-# threads that race on one key decide the same pair twice.
-_RIGIDITY_MEMO_MAX = 1 << 10
-_rigidity_memo: dict = {}
-
 
 class _RowTable(dict):
     """Finished rows, keyed i * 256 + j for p(l_i - l_j) and 0 for the diagonal.
@@ -163,8 +157,7 @@ class ConditionCheck(_Value):
     detail: str
 
     def __init__(self, holds, detail):
-        ConditionCheck.holds.__set__(self, holds)
-        ConditionCheck.detail.__set__(self, detail)
+        self._set_fields(holds, detail)
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "detail": self.detail}
@@ -458,24 +451,17 @@ def certificate_from_rows(d: int, n: int, p: int, rows: Iterable[CaseRow]) -> Ce
         else _non_dominant(len(facts) - facts.count(None))
     )
     cond_ii = _CONDITION_II[aggregate_h1_statuses(map(_row_h1, rows))]
-    return Certificate(d, n, p, rows, cond_i, cond_ii, _CONDITION_III, *_rigidity_verdicts(d, p))
+    verdicts = _rigidity_verdicts(frobenius_rigidity_verdict, d, p)
+    return Certificate(d, n, p, rows, cond_i, cond_ii, _CONDITION_III, *verdicts)
 
 
-def _rigidity_verdicts(d: int, p: int) -> tuple[RigidityVerdict, RigidityVerdict]:
-    """Both rigidity verdicts of GL_d at p, from ``_rigidity_memo``."""
-    # Keyed by the procedure too, so a substituted one decides for itself.
-    key = (frobenius_rigidity_verdict, d, p)
-    verdicts = _rigidity_memo.get(key)
-    if verdicts is None:
-        gl = make_datum("GL", d)
-        verdicts = (
-            frobenius_rigidity_verdict(gl, RingChar.prime_power(p, 2)),
-            frobenius_rigidity_verdict(gl, RingChar.zero(), p=p),
-        )
-        if len(_rigidity_memo) >= _RIGIDITY_MEMO_MAX:
-            _rigidity_memo.clear()
-        _rigidity_memo[key] = verdicts
-    return verdicts
+# Keyed by the procedure too: callers pass the module global
+# frobenius_rigidity_verdict, so a substituted one decides for itself.
+@lru_cache(maxsize=1 << 10)
+def _rigidity_verdicts(procedure, d: int, p: int) -> tuple[RigidityVerdict, RigidityVerdict]:
+    """Both rigidity verdicts of GL_d at p by ``procedure``: Witt length two, char 0."""
+    gl = make_datum("GL", d)
+    return procedure(gl, RingChar.prime_power(p, 2)), procedure(gl, RingChar.zero(), p=p)
 
 
 def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
@@ -515,6 +501,6 @@ def check_equivariant_smoothness(d: int, n: int, p: int) -> Certificate:
     if unexpected <= d:  # a fact the constants do not stand for: scan the rows
         return certificate_from_rows(d, n, p, rows)
     cond_ii = _CONDITION_II[_AGGREGATES[2 if unknown <= d else 1 if trivial <= d else 0]]
-    return Certificate(
-        d, n, p, rows, _non_dominant(d * d - d), cond_ii, _CONDITION_III, *_rigidity_verdicts(d, p)
-    )
+    cond_i = _non_dominant(d * d - d)
+    verdicts = _rigidity_verdicts(frobenius_rigidity_verdict, d, p)
+    return Certificate(d, n, p, rows, cond_i, cond_ii, _CONDITION_III, *verdicts)

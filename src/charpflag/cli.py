@@ -326,6 +326,8 @@ def _cmd_isogeny_check(args) -> tuple[int, object]:
         raise UsageError(f"{args.file} is not valid JSON: {exc}")
     except ValueError:  # an integer past CPython's limit on converted digits
         raise UsageError(f"{args.file} holds an integer with too many digits to convert") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise UsageError(f"{args.file} nests its JSON too deeply to read") from None
     try:
         source = _load_datum_spec(spec["source"], "source")
         target = _load_datum_spec(spec["target"], "target")

@@ -278,8 +278,7 @@ class BwbStatus(_Value):
     highest_weight: Optional[Weight]
 
     def __init__(self, degree=None, highest_weight=None):
-        BwbStatus.degree.__set__(self, degree)
-        BwbStatus.highest_weight.__set__(self, highest_weight)
+        self._set_fields(degree, highest_weight)
 
     @property
     def all_zero(self) -> bool:

@@ -328,11 +328,12 @@ class _Value:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``_fields``, keeps them in slots, and
-    writes an ``__init__`` that sets each slot once through its slot
-    descriptor.  Equality (same class, equal field tuples), hashing, the
-    ``Name(field=value, ...)`` repr and pickling (through the constructor)
-    all read ``_fields``; assigning or deleting any attribute raises an
-    ``AttributeError`` naming it.
+    writes an ``__init__`` that sets each slot once: through
+    ``_set_fields``, or, in a class built on every certificate, through
+    slot setters bound once at module level.  Equality (same class, equal
+    field tuples), hashing, the ``Name(field=value, ...)`` repr and
+    pickling (through the constructor) all read ``_fields``; assigning or
+    deleting any attribute raises an ``AttributeError`` naming it.
     """
 
     __slots__ = ()
@@ -340,6 +341,11 @@ class _Value:
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def _set_fields(self, *values) -> None:
+        """Set one value per field, in ``_fields`` order."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise _FrozenFieldError(f"cannot assign to field {name!r}")
@@ -370,7 +376,7 @@ class Weight(_Value):
     stored coordinates agree.  Construction requires integer coordinates,
     canonicalizes (SL) and validates lattice membership (SO_odd parity).
     ``dynkin_labels`` keeps the weight's labels in ``_labels`` on first
-    use; they take no part in equality, hashing or ``repr``.
+    use; they take no part in equality, hashing, ``repr`` or pickling.
     """
 
     __slots__ = ("coords", "datum", "_labels")
@@ -415,11 +421,6 @@ class Weight(_Value):
         # An immutable value, like a tuple; copying would also copy its
         # datum, which compares by identity, and the read-only labels.
         return self
-
-    def __reduce__(self):
-        # Rebuilt by the constructor, which checks the coordinates again;
-        # the kept labels (a read-only mapping) stay behind.
-        return Weight, (self.coords, self.datum)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -861,9 +862,10 @@ def custom_datum(
     omitted for lattices that contain no vector pairing to 1 with every
     simple coroot (adjoint data).  The data come from the caller, so the
     root list is built and checked here: data violating the root-datum
-    axioms, or simple roots that are not a base of the positive roots,
-    raise ``InvalidRootDatumError``; a rank that is not an ``int``, is
-    negative or is above ``MAX_RANK`` raises ``RankRangeError``.
+    axioms, more simple roots than the rank, or simple roots that are not
+    a base of the positive roots, raise ``InvalidRootDatumError``; a rank
+    that is not an ``int``, is negative or is above ``MAX_RANK`` raises
+    ``RankRangeError``.
     """
     _check_rank(rank, name)
 
@@ -884,6 +886,11 @@ def custom_datum(
         if sup in simples:
             raise InvalidRootDatumError(f"{name}: simple root {_dense(sup, rank)} is repeated")
         simples[sup] = coroot_of[sup]
+    if len(simples) > rank:
+        raise InvalidRootDatumError(
+            f"{name}: {len(simples)} simple roots exceed the rank {rank}; a base is linearly "
+            "independent"
+        )
     datum = RootDatum(
         "custom",
         rank,

@@ -56,9 +56,7 @@ class RingChar(_Value):
                 raise DomainError(f"prime_power exponent must be an integer, got {n!r}")
             if n < 2:
                 raise DomainError(f"prime_power needs exponent >= 2, got {n}")
-        RingChar.kind.__set__(self, kind)
-        RingChar.p.__set__(self, p)
-        RingChar.n.__set__(self, n)
+        self._set_fields(kind, p, n)
 
     @classmethod
     def zero(cls) -> "RingChar":
@@ -105,9 +103,7 @@ class MorphismFailure(_Value):
     detail: str
 
     def __init__(self, relation, root, detail):
-        MorphismFailure.relation.__set__(self, relation)
-        MorphismFailure.root.__set__(self, root)
-        MorphismFailure.detail.__set__(self, detail)
+        self._set_fields(relation, root, detail)
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +119,7 @@ class MorphismVerdict(_Value):
     failures: tuple[MorphismFailure, ...]
 
     def __init__(self, failures=()):
-        MorphismVerdict.failures.__set__(self, failures)
+        self._set_fields(failures)
 
     @property
     def valid(self) -> bool:
@@ -152,14 +148,8 @@ class PMorphismData(_Value):
     ring_char: RingChar
 
     def __init__(self, source, target, h, d_map, q, ring_char=None):
-        PMorphismData.source.__set__(self, source)
-        PMorphismData.target.__set__(self, target)
-        PMorphismData.h.__set__(self, h)
-        PMorphismData.d_map.__set__(self, d_map)
-        PMorphismData.q.__set__(self, q)
-        PMorphismData.ring_char.__set__(
-            self, RingChar.zero() if ring_char is None else ring_char
-        )
+        ring_char = RingChar.zero() if ring_char is None else ring_char
+        self._set_fields(source, target, h, d_map, q, ring_char)
 
 
 def _mat_vec(mat: tuple[tuple[int, ...], ...], vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -280,9 +270,7 @@ class RigidityVerdict(_Value):
     note: Optional[str]
 
     def __init__(self, lift_possible, reason=None, note=None):
-        RigidityVerdict.lift_possible.__set__(self, lift_possible)
-        RigidityVerdict.reason.__set__(self, reason)
-        RigidityVerdict.note.__set__(self, note)
+        self._set_fields(lift_possible, reason, note)
 
     def to_json(self) -> dict:
         return {

@@ -502,16 +502,33 @@ def test_a_substituted_rigidity_procedure_is_not_answered_from_the_memo(monkeypa
     assert check_equivariant_smoothness(3, 7, 5) == warm
 
 
-def test_the_rigidity_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(certificate, "_RIGIDITY_MEMO_MAX", 3)
-    certificate._rigidity_memo.clear()
-    for d, n, p in _RIGIDITY_CASES:
-        cert = check_equivariant_smoothness(d, n, p)
-        assert 1 <= len(certificate._rigidity_memo) <= 3
-        assert certificate._rigidity_memo[(frobenius_rigidity_verdict, d, p)] == (
-            cert.rigidity_mod_p_squared,
-            cert.rigidity_char_zero,
+_PRIMES_5_TO_67 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
+
+
+def test_the_rigidity_memo_is_bounded():
+    calls = []
+
+    def counting(datum, ring_char, p=None):
+        calls.append((datum.rank, ring_char.kind, p or ring_char.p))
+        return frobenius_rigidity_verdict(datum, ring_char, p=p)
+
+    memo = certificate._rigidity_verdicts
+    keys = [(d, p) for d in range(2, 65) for p in _PRIMES_5_TO_67]  # 1071 keys
+    try:
+        for d, p in keys:
+            memo(counting, d, p)
+        assert len(calls) == 2 * len(keys)  # every key decided once
+        memo(counting, *keys[-1])  # the most recently used key is kept
+        assert len(calls) == 2 * len(keys)
+        d, p = keys[0]  # the least recently used key was dropped: decided again
+        assert memo(counting, d, p) == (
+            frobenius_rigidity_verdict(make_datum("GL", d), RingChar.prime_power(p, 2)),
+            frobenius_rigidity_verdict(make_datum("GL", d), RingChar.zero(), p=p),
         )
+        assert calls[2 * len(keys) :] == [(d, "prime_power", p), (d, "zero", p)]
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    finally:
+        memo.cache_clear()  # let go of the counting procedure
 
 
 # ---------------------------------------------------------------------------

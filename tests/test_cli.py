@@ -365,6 +365,29 @@ def test_huge_integers_do_not_stop_a_batch(capsys, tmp_path):
     assert json.loads(out)["result"]["status"] == "zero"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past the interpreter's recursion limit
+
+
+def test_deeply_nested_isogeny_json_is_a_one_line_error(capsys, tmp_path):
+    path = tmp_path / "morphism.json"
+    path.write_text(DEEP)
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {path} nests its JSON too deeply to read\n"
+
+
+def test_deeply_nested_json_does_not_stop_a_batch(capsys, tmp_path):
+    morphism = tmp_path / "morphism.json"
+    morphism.write_text(DEEP)
+    batch = tmp_path / "queries.txt"
+    batch.write_text(f"isogeny-check --file {morphism}\nh1 --weight 0,0,0,0 --p 5 --json\n")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 1
+    assert err == f"error: {morphism} nests its JSON too deeply to read\n"
+    assert json.loads(out)["result"]["status"] == "zero"
+
+
 @pytest.mark.parametrize("ring", ["00", "000"])
 def test_every_digit_spelling_of_zero_is_characteristic_zero(capsys, ring):
     args = ("rigidity", "--type", "GL", "--n", "3", "--ring", ring, "--p", "5", "--json")
@@ -599,8 +622,10 @@ def test_isogeny_check_reports_a_null_family_as_invalid_data(capsys, tmp_path):
             [0, 1, 2],
             "simple root (1, 0, -1) minus the positive root (1, -1, 0) is a positive root",
         ),
+        # A base is linearly independent: at most rank simple roots.
+        ([[1, 1], [1, -1], [-1, 1]], [0, 1, 2], "3 simple roots exceed the rank 2"),
     ],
-    ids=["a1xa1_one_simple", "a2_decomposable"],
+    ids=["a1xa1_one_simple", "a2_decomposable", "more_simple_roots_than_rank"],
 )
 def test_isogeny_check_rejects_simple_roots_that_are_not_a_base(
     capsys, tmp_path, roots, simple, what

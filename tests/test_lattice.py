@@ -362,8 +362,21 @@ _A2 = [((1, -1, 0), (1, -1, 0)), ((0, 1, -1), (0, 1, -1)), ((1, 0, -1), (1, 0, -
             [(1, -1, 0), (0, 1, -1), (1, 0, -1)],
             "simple root (1, 0, -1) minus the positive root (1, -1, 0) is a positive root",
         ),
+        # Three roots taken as simple in rank 2: a base is linearly independent.
+        (
+            2,
+            [((1, 0), (2, 0)), ((1, 1), (2, 0)), ((1, 2), (2, 0))],
+            [(1, 0), (1, 1), (1, 2)],
+            "3 simple roots exceed the rank 2",
+        ),
     ],
-    ids=["a1xa1_one_simple", "no_simple", "negative_as_positive", "a2_decomposable"],
+    ids=[
+        "a1xa1_one_simple",
+        "no_simple",
+        "negative_as_positive",
+        "a2_decomposable",
+        "more_simple_roots_than_rank",
+    ],
 )
 def test_custom_simple_roots_must_form_a_base(rank, positive, simple, what):
     with pytest.raises(InvalidRootDatumError, match=re.escape(what)):
