@@ -350,6 +350,13 @@ MUTANTS = (
         "a custom datum lists no simple root twice",
     ),
     (
+        "custom-simple-independent",
+        "lattice.py",
+        "if not row:",
+        "if False:",
+        "a custom datum's simple roots are linearly independent",
+    ),
+    (
         "chain-one-short",
         "lattice.py",
         "for k in range(len(supports), n - 1))",

@@ -10,7 +10,6 @@ Example:
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
                 ok = cert.final_verdict == VERDICT_NO_LIFT
                 failures += not ok
                 if args.json:
-                    print(json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":")))
+                    print(cert.compact_json())
                 else:
                     counts = {}
                     for row in cert.rows:

@@ -15,6 +15,7 @@ certificate never overstates a vanishing claim.
 
 from __future__ import annotations
 
+import json
 from _thread import allocate_lock
 from functools import lru_cache
 from itertools import compress
@@ -102,16 +103,30 @@ class _RowTable(dict):
             corners[kind] = corner
 
 
+# json.dumps(tree, sort_keys=True, separators=(",", ":")) of a tree built for
+# the call, which cannot hold a cycle, so without the circular-reference check.
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 class CaseRow(_Value):
     """One End-bundle weight with its case tag and H^1 classification.
 
     ``_dominant`` is the fact condition (i) reads: None for a zero weight
     (a diagonal row), else whether the weight is dominant.  The
-    constructor sets it from the weight; it takes no part in equality,
-    hashing or ``repr``.
+    constructor sets it from the weight.  ``_json`` keeps the row's
+    compact JSON once ``compact_json`` has made it.  Neither takes part
+    in equality, hashing, ``repr`` or pickling.
     """
 
-    __slots__ = ("weight", "case_tag", "chosen_simple_root", "pairing_value", "h1", "_dominant")
+    __slots__ = (
+        "weight",
+        "case_tag",
+        "chosen_simple_root",
+        "pairing_value",
+        "h1",
+        "_dominant",
+        "_json",
+    )
     _fields = ("weight", "case_tag", "chosen_simple_root", "pairing_value", "h1")
 
     weight: Weight
@@ -127,6 +142,7 @@ class CaseRow(_Value):
         _set_row_pairing(self, pairing_value)
         _set_row_h1(self, h1)
         _set_row_dominant(self, None if weight.is_zero() else is_dominant(weight))
+        _set_row_json(self, None)
 
     def to_json(self) -> dict:
         return {
@@ -139,6 +155,19 @@ class CaseRow(_Value):
             "h1": self.h1.to_json(),
         }
 
+    def compact_json(self) -> str:
+        """``to_json()`` as compact, key-sorted JSON, made on first use and kept.
+
+        A memoized row is shared by every certificate that needs it, so each
+        of them splices the same text.  Two threads that fill it at once
+        write equal text.
+        """
+        text = self._json
+        if text is None:
+            text = _compact(self.to_json())
+            _set_row_json(self, text)
+        return text
+
 
 _set_row_weight = CaseRow.weight.__set__
 _set_row_case = CaseRow.case_tag.__set__
@@ -146,6 +175,7 @@ _set_row_root = CaseRow.chosen_simple_root.__set__
 _set_row_pairing = CaseRow.pairing_value.__set__
 _set_row_h1 = CaseRow.h1.__set__
 _set_row_dominant = CaseRow._dominant.__set__
+_set_row_json = CaseRow._json.__set__
 _row_dominant = attrgetter("_dominant")
 _row_h1 = attrgetter("h1")
 
@@ -261,9 +291,19 @@ class Certificate(_Value):
         return VERDICT_NO_LIFT if holds else VERDICT_INCONCLUSIVE
 
     def to_json(self) -> dict:
+        tree = self._json_tree()
+        tree["rows"] = [row.to_json() for row in self.rows]
+        return tree
+
+    def _json_tree(self) -> dict:
+        """The tree of ``to_json``, with the rows left as ``CaseRow`` objects.
+
+        A streaming encoder turns each row into its dict through its
+        ``default`` hook, so only one row's dict exists at a time.
+        """
         return {
             "inputs": {"d": self.d, "N": self.N, "p": self.p},
-            "rows": [row.to_json() for row in self.rows],
+            "rows": self.rows,
             "conditions": {
                 "i": self.condition_i.to_json(),
                 "ii": self.condition_ii.to_json(),
@@ -277,6 +317,22 @@ class Certificate(_Value):
             "verdict": self.final_verdict,
         }
 
+    def compact_json(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``.
+
+        One encode of everything but the rows; the rows' kept texts
+        (``CaseRow.compact_json``) are spliced in before "verdict", the last
+        key, as "rows" sorts just before it.
+        """
+        tree = self._json_tree()
+        del tree["rows"]
+        text = _compact(tree)
+        cut = text.rindex(',"verdict":')
+        rows = ",".join(map(_row_text, self.rows))
+        return f'{text[:cut]},"rows":[{rows}]{text[cut:]}'
+
+
+_row_text = CaseRow.compact_json
 
 # Bound once: a certificate is built on every call, warm ones included.
 _set_cert_d = Certificate.d.__set__

@@ -24,14 +24,16 @@ import json
 import re
 import shlex
 import sys
+from itertools import islice
+from operator import methodcaller
 from typing import Optional, Sequence
 
 from . import __version__
 from .arith import prime_power_base
 from .errors import CharpFlagError, RankRangeError
-from .certificate import VERDICT_NO_LIFT, check_equivariant_smoothness
+from .certificate import VERDICT_NO_LIFT, _compact, check_equivariant_smoothness
 from .cohomology import andersen_h1, bwb_char0
-from .lattice import DENSE_LISTING_MAX
+from .lattice import _DATUM_CACHE_SIZE, DENSE_LISTING_MAX
 from .lattice import RootDatum, Weight, custom_datum, make_datum, weyl_group_order
 from .rootmorph import (
     PMorphismData,
@@ -184,17 +186,33 @@ def _parse_ring_spec(spec: str, p: int) -> RingChar:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (exit_code, output) and builds only the
 # output that is printed: the envelope's (inputs, result) with --json, else
-# the text lines.
+# the text lines.  A result is a JSON tree, or an object that keeps its
+# rendering: a ``Certificate`` or a ``_RootListing``, each with
+# ``compact_json()`` and ``_json_tree()``.
 
 
-def _cmd_roots(args) -> tuple[int, object]:
-    if args.n > DENSE_LISTING_MAX:
-        raise UsageError(f"roots --n {args.n} exceeds the bound {DENSE_LISTING_MAX}")
-    datum = make_datum(args.type, args.n)
-    order = weyl_group_order(datum)
+class _RootListing:
+    """The ``roots --json`` result of one datum, with its compact text once made."""
+
+    __slots__ = ("tree", "_text")
+
+    def __init__(self, tree: dict):
+        self.tree, self._text = tree, None
+
+    def _json_tree(self) -> dict:
+        return self.tree
+
+    def compact_json(self) -> str:
+        if self._text is None:
+            self._text = _compact(self.tree)
+        return self._text
+
+
+@functools.lru_cache(maxsize=_DATUM_CACHE_SIZE)  # as many as the data make_datum keeps
+def _root_listing(datum: RootDatum) -> _RootListing:
     weyl = datum.weyl_vector
-    if args.json:
-        result = {
+    return _RootListing(
+        {
             "datum": datum.to_json(),
             "name": datum.name,
             "rank": datum.rank,
@@ -203,9 +221,19 @@ def _cmd_roots(args) -> tuple[int, object]:
             "coroots": [list(r.coroot) for r in datum.roots],
             "simple_roots": [r.vector.to_json() for r in datum.simple_roots],
             "weyl_vector": None if weyl is None else weyl.to_json(),
-            "weyl_group_order": order,
+            "weyl_group_order": weyl_group_order(datum),
         }
-        return EXIT_OK, ({"type": args.type, "n": args.n}, result)
+    )
+
+
+def _cmd_roots(args) -> tuple[int, object]:
+    if args.n > DENSE_LISTING_MAX:
+        raise UsageError(f"roots --n {args.n} exceeds the bound {DENSE_LISTING_MAX}")
+    datum = make_datum(args.type, args.n)
+    if args.json:
+        return EXIT_OK, ({"type": args.type, "n": args.n}, _root_listing(datum))
+    order = weyl_group_order(datum)
+    weyl = datum.weyl_vector
     return EXIT_OK, [
         f"datum: {datum.name}  (rank {datum.rank}, {len(datum.roots)} roots)",
         "simple roots: " + " ".join(str(r.vector.coords) for r in datum.simple_roots),
@@ -245,11 +273,10 @@ def _cmd_bwb0(args) -> tuple[int, object]:
 
 def _cmd_grassmann_check(args) -> tuple[int, object]:
     cert = check_equivariant_smoothness(args.d, args.N, args.p)
-    if args.json:
-        result = cert.to_json()
-        code = EXIT_OK if result["verdict"] == VERDICT_NO_LIFT else EXIT_INCONCLUSIVE
-        return code, ({"d": args.d, "N": args.N, "p": args.p}, result)
     verdict = cert.final_verdict
+    code = EXIT_OK if verdict == VERDICT_NO_LIFT else EXIT_INCONCLUSIVE
+    if args.json:
+        return code, ({"d": args.d, "N": args.N, "p": args.p}, cert)
     counts: dict[str, int] = {}
     for row in cert.rows:
         counts[row.case_tag] = counts.get(row.case_tag, 0) + 1
@@ -264,7 +291,7 @@ def _cmd_grassmann_check(args) -> tuple[int, object]:
         f"char 0 {'no lift' if not cert.rigidity_char_zero.lift_possible else 'lift possible'}",
         f"verdict: {verdict}",
     ]
-    return EXIT_OK if verdict == VERDICT_NO_LIFT else EXIT_INCONCLUSIVE, text
+    return code, text
 
 
 def _load_datum_spec(spec: dict, role: str) -> RootDatum:
@@ -503,13 +530,46 @@ def _run_single(parser: _Parser, argv: Sequence[str], compact_json: bool) -> int
         }
         # The envelope is a tree built fresh for this query, so it cannot
         # hold a cycle, and the encoder skips its circular-reference check.
-        if compact_json:
+        if not compact_json:
+            _write_indented(envelope)
+        elif type(result) is dict:
             print(json.dumps(envelope, sort_keys=True, separators=(",", ":"), check_circular=False))
         else:
-            print(json.dumps(envelope, sort_keys=True, indent=2, check_circular=False))
+            # The result keeps its compact text: it goes in before "version",
+            # the last key, as "result" sorts just before it.
+            del envelope["result"]
+            text = json.dumps(envelope, sort_keys=True, separators=(",", ":"), check_circular=False)
+            cut = text.rindex(',"version":')
+            print(f'{text[:cut]},"result":{result.compact_json()}{text[cut:]}')
     else:
         print(*output, sep="\n")
     return code
+
+
+def _write_indented(envelope: dict) -> None:
+    """Write ``json.dumps(envelope, sort_keys=True, indent=2)`` and a newline.
+
+    The standard library's encoder makes the text piece by piece, and it is
+    written in blocks of 64 K pieces, so the whole text is never held.  A
+    result that keeps its rendering enters as its ``_json_tree()``; for a
+    certificate that leaves each row a ``CaseRow``, which the encoder's
+    ``default`` turns into its dict when it reaches the row, so one row's
+    dict exists at a time.
+    """
+    result = envelope["result"]
+    if type(result) is not dict:
+        envelope["result"] = result._json_tree()
+    encoder = json.JSONEncoder(
+        sort_keys=True, indent=2, check_circular=False, default=methodcaller("to_json")
+    )
+    pieces = encoder.iterencode(envelope)
+    write = sys.stdout.write
+    while True:
+        block = "".join(islice(pieces, 1 << 16))
+        if not block:
+            break
+        write(block)
+    write("\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

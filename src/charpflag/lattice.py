@@ -862,10 +862,10 @@ def custom_datum(
     omitted for lattices that contain no vector pairing to 1 with every
     simple coroot (adjoint data).  The data come from the caller, so the
     root list is built and checked here: data violating the root-datum
-    axioms, more simple roots than the rank, or simple roots that are not
-    a base of the positive roots, raise ``InvalidRootDatumError``; a rank
-    that is not an ``int``, is negative or is above ``MAX_RANK`` raises
-    ``RankRangeError``.
+    axioms, more simple roots than the rank, simple roots that are not a
+    base of the positive roots, or linearly dependent simple roots, raise
+    ``InvalidRootDatumError``; a rank that is not an ``int``, is negative
+    or is above ``MAX_RANK`` raises ``RankRangeError``.
     """
     _check_rank(rank, name)
 
@@ -902,7 +902,39 @@ def custom_datum(
     )
     datum._materialize()
     _check_base(name, rank, [sup for sup, _ in positives], list(simples))
+    _check_independent(name, rank, simples)
     return datum
+
+
+def _check_independent(name: str, rank: int, simples: Iterable[Support]) -> None:
+    """Raise unless the simple roots are linearly independent over Q.
+
+    Exact fraction-free elimination on the sparse supports.  Each kept row
+    leads at its least coordinate, and no two kept rows lead at the same
+    one.  A root is reduced against the kept row at its lead, by integer
+    cross-multiplication, which clears that coordinate, and divided by the
+    gcd of its entries; it is kept once its lead is free, and is dependent
+    on the roots before it if it vanishes.
+    """
+    kept: dict[int, dict[int, int]] = {}
+    for sup in simples:
+        row = dict(sup)
+        while row:
+            lead = min(row)
+            pivot = kept.get(lead)
+            if pivot is None:
+                kept[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            row = {i: a * row.get(i, 0) - b * pivot.get(i, 0) for i in row.keys() | pivot.keys()}
+            row = {i: c for i, c in row.items() if c}
+            g = gcd(*row.values())
+            row = {i: c // g for i, c in row.items()}
+        if not row:
+            raise InvalidRootDatumError(
+                f"{name}: simple root {_dense(sup, rank)} is a rational combination of the "
+                "simple roots before it; a base is linearly independent"
+            )
 
 
 def _check_base(name: str, rank: int, positives: list[Support], simples: list[Support]) -> None:

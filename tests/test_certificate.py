@@ -604,6 +604,62 @@ def test_each_row_carries_its_own_weights_dominance():
 
 
 # ---------------------------------------------------------------------------
+# Compact JSON: a row's text is made once and spliced into every certificate
+# that takes the row.
+
+
+def _compact(tree):
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def test_compact_json_is_json_dumps_over_the_acceptance_sweep():
+    for p in (5, 7, 11, 13):
+        for n in range(4, 11):
+            for d in range(2, n - 1):
+                cert = check_equivariant_smoothness(d, n, p)
+                assert cert.compact_json() == _compact(cert.to_json())
+
+
+def test_compact_json_is_json_dumps_on_inconclusive_certificates():
+    base = list(check_equivariant_smoothness(3, 6, 5).rows)
+    # A reason with a quote, a key-like run, a newline and a non-ASCII letter.
+    reason = 'injected "," ,"verdict":"x"\n\u00e9'
+    undetermined = base[:4] + [rebuilt(base[4], h1=H1Status.undetermined(reason))] + base[5:]
+    dominant = base[:-1] + _injected_rows()[:1]
+    certs = [certificate_from_rows(3, 6, 5, rows) for rows in (undetermined, dominant)]
+    assert certs[0].rows[4].h1.status == "undetermined"
+    assert not certs[1].condition_i.holds
+    pool = base + _injected_rows()
+    rng = random.Random(20261022)
+    certs += [certificate_from_rows(3, 6, 5, rng.choices(pool, k=9)) for _ in range(50)]
+    for cert in certs:
+        assert cert.compact_json() == _compact(cert.to_json())
+    assert {cert.final_verdict for cert in certs} == {VERDICT_INCONCLUSIVE, VERDICT_NO_LIFT}
+    assert certs[0].final_verdict == certs[1].final_verdict == VERDICT_INCONCLUSIVE
+
+
+def test_a_row_rendered_in_two_certificates_is_one_text():
+    small, large = check_equivariant_smoothness(2, 9, 11), check_equivariant_smoothness(3, 9, 11)
+    shared = [row for row in small.rows if any(row is other for other in large.rows)]
+    assert len(shared) == 4  # the memo hands both certificates the same 2 x 2 corner
+    small.compact_json()
+    texts = [row.compact_json() for row in shared]
+    large_text = large.compact_json()
+    for row, text in zip(shared, texts):
+        assert row.compact_json() is text
+        assert text in large_text
+
+
+def test_a_rows_kept_text_is_not_part_of_its_value():
+    row = check_equivariant_smoothness(2, 7, 5).rows[1]
+    text = row.compact_json()
+    for twin in (rebuilt(row), pickle.loads(pickle.dumps(row))):
+        assert twin._json is None
+        assert (twin, hash(twin), repr(twin)) == (row, hash(row), repr(row))
+        assert twin.compact_json() == text
+
+
+# ---------------------------------------------------------------------------
 # The row memo: each row is classified once per process and per decision
 # procedure, with every check, and later certificates take the finished row.
 

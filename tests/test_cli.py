@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 import charpflag
 from charpflag import __version__, cli
 from charpflag.cli import main
+from charpflag.certificate import check_equivariant_smoothness
 from charpflag.lattice import make_datum
+
+from conftest import CLASSICAL_FAMILIES, FAMILY_MIN_RANK
 
 
 def run_cli(capsys, *argv):
@@ -125,28 +128,93 @@ def test_text_output_bytes_are_pinned(capsys, tmp_path, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
-def test_envelopes_encode_as_with_the_circular_reference_check(capsys, tmp_path, monkeypatch):
-    # The envelope skips the encoder's circular-reference check; its text
-    # must equal what the default encoder makes of the same envelope, in
-    # the indented single-query form and the compact batch form.
+def test_envelopes_encode_as_with_the_circular_reference_check(capsys, tmp_path):
+    # Every --json output, indented (single query) and compact (batch line),
+    # is byte for byte what json.dumps, circular-reference check on, makes of
+    # the envelope's tree.  The certificate and the root listing are spliced
+    # from kept texts and streamed, so their results are also compared with
+    # the library's own trees.
     path = tmp_path / "frobenius.json"
     path.write_text(json.dumps(_ISOGENY_P2))
     lines = [argv.format(file=path) + " --json" for argv, _ in _TEXT_PINS]
-    dumps, calls = json.dumps, []
-
-    def recording_dumps(obj, **kwargs):
-        calls.append((obj, kwargs))
-        return dumps(obj, **kwargs)
-
-    monkeypatch.setattr(cli.json, "dumps", recording_dumps)
-    outputs = [run_cli(capsys, *line.split())[1] for line in lines]
+    indented = [run_cli(capsys, *line.split())[1] for line in lines]
     batch = tmp_path / "queries.txt"
     batch.write_text("".join(line + "\n" for line in lines))
-    outputs += run_cli(capsys, "--batch", str(batch))[1].splitlines(keepends=True)
-    assert len(calls) == len(outputs) == 2 * len(_TEXT_PINS)
-    for (envelope, kwargs), out in zip(calls, outputs):
-        assert kwargs.pop("check_circular") is False
-        assert out == dumps(envelope, **kwargs) + "\n"
+    compact = run_cli(capsys, "--batch", str(batch))[1].splitlines(keepends=True)
+    assert len(indented) == len(compact) == len(_TEXT_PINS)
+    trees = {}
+    for line, wide, narrow in zip(lines, indented, compact):
+        tree = json.loads(wide)
+        assert wide == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        assert narrow == json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+        trees[line.split()[0]] = tree["result"]
+    assert trees["grassmann-check"] == check_equivariant_smoothness(3, 6, 5).to_json()
+    assert trees["roots"] == cli._root_listing(make_datum("Sp", 2)).tree
+    assert trees["roots"]["root_count"] == len(trees["roots"]["roots"]) == 8
+
+
+def _roots_queries():
+    return [
+        (family, n)
+        for family in CLASSICAL_FAMILIES + ("torus",)
+        for n in range(FAMILY_MIN_RANK.get(family, 1), 9)
+    ]
+
+
+def test_root_listings_splice_the_text_json_dumps_makes(capsys, tmp_path):
+    # Every family at ranks 1..8: the kept compact text of each listing, and
+    # each batch line spliced from it, equal json.dumps of the listing's tree.
+    queries = _roots_queries()
+    batch = tmp_path / "roots.txt"
+    batch.write_text("".join(f"roots --type {f} --n {n} --json\n" for f, n in queries) * 2)
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[: len(queries)] == lines[len(queries) :]
+    for (family, n), line in zip(queries, lines):
+        listing = cli._root_listing(make_datum(family, n))
+        assert listing.compact_json() == json.dumps(
+            listing.tree, sort_keys=True, separators=(",", ":")
+        )
+        envelope = {
+            "command": "roots",
+            "inputs": {"type": family, "n": n},
+            "result": listing.tree,
+            "version": __version__,
+        }
+        assert line == json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        assert json.loads(line)["result"]["root_count"] == len(make_datum(family, n).roots)
+
+
+def test_a_root_listing_is_built_once_per_datum(capsys):
+    datum = make_datum("SO_even", 5)
+    first = cli._root_listing(datum)
+    run_cli(capsys, "roots", "--type", "SO_even", "--n", "5", "--json")
+    assert cli._root_listing(datum) is first
+    assert cli._root_listing.cache_info().maxsize == 64  # the datum cache's size
+
+
+def test_indented_json_is_written_in_pieces(capsys, monkeypatch):
+    # A certificate of 900 rows encodes to more than 64 K pieces, so it is
+    # written in more than one block, never held whole; the blocks join to
+    # json.dumps of the envelope.
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Stream())
+    assert main(["grassmann-check", "--d", "30", "--N", "40", "--p", "7", "--json"]) == 0
+    envelope = {
+        "command": "grassmann-check",
+        "inputs": {"d": 30, "N": 40, "p": 7},
+        "result": check_equivariant_smoothness(30, 40, 7).to_json(),
+        "version": __version__,
+    }
+    assert len(writes) > 2
+    assert "".join(writes) == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +712,25 @@ def test_isogeny_check_rejects_simple_roots_that_are_not_a_base(
     assert what in err
     # Well-formed JSON that a typed datum check rejects is not "malformed".
     assert err.startswith(f"usage error: invalid morphism data in {path}: ")
+
+
+def test_isogeny_check_rejects_linearly_dependent_simple_roots(capsys, tmp_path):
+    # (2, 0) and (-1, 0) pass the base check, but they are dependent.
+    source = {
+        "rank": 2,
+        "positive_roots": [
+            {"vector": [2, 0], "coroot": [1, 0]},
+            {"vector": [-1, 0], "coroot": [-2, 0]},
+        ],
+        "simple_indices": [0, 1],
+    }
+    path = _write_morphism(tmp_path, {"source": source, "target": source, "h": [[1, 0], [0, 1]]})
+    code, out, err = run_cli(capsys, "isogeny-check", "--file", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"usage error: invalid morphism data in {path}: custom-source: simple root (-1, 0) is "
+        "a rational combination of the simple roots before it; a base is linearly independent\n"
+    )
 
 
 def test_isogeny_check_reports_an_oversized_rank_as_invalid_data(capsys, tmp_path):

@@ -383,6 +383,39 @@ def test_custom_simple_roots_must_form_a_base(rank, positive, simple, what):
         custom_datum(rank, positive, simple)
 
 
+# Simple roots that pass the base check yet are linearly dependent.
+_DEPENDENT_SIMPLE_ROOTS = [
+    # Two multiples of (1, 0); the four roots are closed under both reflections.
+    (2, [((2, 0), (1, 0)), ((-1, 0), (-2, 0))], [(2, 0), (-1, 0)], (-1, 0)),
+    # (2, 0, -2) = 2 (1, 1, 0) - 2 (0, 1, 1): found after two elimination steps.
+    (
+        3,
+        [((1, 1, 0), (1, 1, 0)), ((0, 1, 1), (0, 1, 1)), ((2, 0, -2), (1, 0, 0))],
+        [(1, 1, 0), (0, 1, 1), (2, 0, -2)],
+        (2, 0, -2),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rank,positive,simple,dependent", _DEPENDENT_SIMPLE_ROOTS, ids=["a1_twice", "rank3_combination"]
+)
+def test_custom_simple_roots_must_be_linearly_independent(rank, positive, simple, dependent):
+    what = f"simple root {dependent} is a rational combination of the simple roots before it"
+    with pytest.raises(InvalidRootDatumError, match=re.escape(what)):
+        custom_datum(rank, positive, simple)
+    # Without the dependent root (the last one) the rest is a datum.
+    assert len(custom_datum(rank, positive[:-1], simple[:-1]).simple_roots) == len(simple) - 1
+
+
+def test_independent_simple_roots_with_large_entries_are_a_base():
+    # Entries past 1 and a lead shared by both roots: elimination must scale,
+    # not divide, to keep (6, 4) and (4, 6) apart.
+    positive = [((6, 4), (1, -1)), ((4, 6), (-1, 1))]
+    datum = custom_datum(2, positive, [(6, 4), (4, 6)])
+    assert [r.vector.coords for r in datum.simple_roots] == [(6, 4), (4, 6)]
+
+
 # ---------------------------------------------------------------------------
 # Root lists: built and checked on first access
 
